@@ -20,6 +20,11 @@
 //! `PPAR_CHECK_DISJOINT=1` before the first container is touched) and every
 //! conflicting write panics with both workers' identities. The test suite
 //! runs the paper's kernels under tracking.
+//!
+//! Row loops read and write through views ([`SharedVec::cells`],
+//! [`SharedGrid::row_cells_mut`], ...), which check their range, read the
+//! tracker flag and mark dirty chunks once per row instead of once per
+//! element; scattered access uses the per-element `get`/`set`.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
@@ -358,6 +363,32 @@ impl<T: Scalar> SharedVec<T> {
         }
     }
 
+    /// Read view of elements `range`: the range is checked once here, and
+    /// [`Cells::get`] indexes a slice of the range's length. For row loops;
+    /// scattered access goes through [`SharedVec::get`].
+    #[inline]
+    pub fn cells(&self, range: std::ops::Range<usize>) -> Cells<'_, T> {
+        Cells {
+            cells: &self.data[range],
+        }
+    }
+
+    /// Write view of elements `range` (subject to the disjoint-write
+    /// contract for every index written through it). The range is checked
+    /// once and its chunks are marked dirty once, here; the tracker flag and
+    /// the worker identity are read once, here. Marking covers the whole
+    /// range, so create the view over the span the loop writes.
+    #[inline]
+    pub fn cells_mut(&self, range: std::ops::Range<usize>) -> CellsMut<'_, T> {
+        let view = self.cells(range.clone());
+        self.dirty
+            .mark_byte_range(range.start * T::WIDTH, range.end * T::WIDTH);
+        CellsMut {
+            view,
+            tracker: tracking::enabled().then(|| (self.id, range.start, current_worker())),
+        }
+    }
+
     /// Overwrite `dst_start..dst_start+src.len()` from a slice.
     pub fn copy_in(&self, dst_start: usize, src: &[T]) {
         assert!(dst_start + src.len() <= self.len(), "copy_in out of bounds");
@@ -572,6 +603,82 @@ impl<T: Scalar> DistCell for SharedVec<T> {
 }
 
 // ---------------------------------------------------------------------------
+// row views
+// ---------------------------------------------------------------------------
+
+// The views hold `&[UnsafeCell<T>]`, never `&[T]`: another worker may be
+// writing other cells of the same row, and a plain slice over them would
+// assert that nothing changes underneath it. `UnsafeCell` also makes the
+// views `!Send`/`!Sync`, so a write view stays on the worker whose identity
+// it recorded.
+
+/// Read view over a contiguous range of a shared container (see
+/// [`SharedVec::cells`], [`SharedGrid::row_cells`]).
+pub struct Cells<'a, T: Scalar> {
+    cells: &'a [UnsafeCell<T>],
+}
+
+impl<T: Scalar> Cells<'_, T> {
+    /// Number of cells in the view.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// True when the view is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Read cell `j` of the view.
+    #[inline]
+    pub fn get(&self, j: usize) -> T {
+        // SAFETY: `j` is bounds-checked by the slice index; under the
+        // disjoint-write contract no other worker writes cell `j` in this
+        // epoch, so the copy-out races with nothing.
+        unsafe { *self.cells[j].get() }
+    }
+}
+
+/// Write view over a contiguous range of a shared container (see
+/// [`SharedVec::cells_mut`], [`SharedGrid::row_cells_mut`]). Its range was
+/// marked dirty when it was created; with the disjoint-write tracker on,
+/// every [`CellsMut::set`] is recorded like [`SharedVec::set`]. Reads go
+/// through the [`Cells`] it dereferences to.
+pub struct CellsMut<'a, T: Scalar> {
+    view: Cells<'a, T>,
+    // (container id, first index of the view, worker) when tracking.
+    tracker: Option<(u64, usize, usize)>,
+}
+
+impl<'a, T: Scalar> std::ops::Deref for CellsMut<'a, T> {
+    type Target = Cells<'a, T>;
+
+    #[inline]
+    fn deref(&self) -> &Cells<'a, T> {
+        &self.view
+    }
+}
+
+impl<T: Scalar> CellsMut<'_, T> {
+    /// Write cell `j` of the view (disjoint-write contract).
+    #[inline]
+    pub fn set(&self, j: usize, v: T) {
+        let cell = &self.view.cells[j];
+        if let Some((id, base, worker)) = self.tracker {
+            tracking::record(id, base + j, worker);
+        }
+        // SAFETY: `cell` is bounds-checked above; under the disjoint-write
+        // contract this worker is the only one touching cell `j` in this
+        // epoch (the tracker, when on, has just verified that for writes).
+        unsafe {
+            *cell.get() = v;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // SharedGrid
 // ---------------------------------------------------------------------------
 
@@ -616,18 +723,42 @@ impl<T: Scalar> SharedGrid<T> {
         self.cols
     }
 
+    // The row bound follows from the flat index check once the column is
+    // in bounds; without this check `(r, cols)` would alias `(r + 1, 0)`.
+    #[inline]
+    fn check_col(&self, c: usize) {
+        assert!(
+            c < self.cols,
+            "SharedGrid column {c} out of bounds for {} columns",
+            self.cols
+        );
+    }
+
     /// Read cell `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> T {
-        debug_assert!(r < self.rows && c < self.cols);
+        self.check_col(c);
         self.data.get(r * self.cols + c)
     }
 
     /// Write cell `(r, c)` (disjoint-write contract).
     #[inline]
     pub fn set(&self, r: usize, c: usize, v: T) {
-        debug_assert!(r < self.rows && c < self.cols);
+        self.check_col(c);
         self.data.set(r * self.cols + c, v);
+    }
+
+    /// Read view of row `r` (see [`SharedVec::cells`]).
+    #[inline]
+    pub fn row_cells(&self, r: usize) -> Cells<'_, T> {
+        self.data.cells(r * self.cols..(r + 1) * self.cols)
+    }
+
+    /// Write view of row `r` (see [`SharedVec::cells_mut`]); marks the
+    /// whole row dirty.
+    #[inline]
+    pub fn row_cells_mut(&self, r: usize) -> CellsMut<'_, T> {
+        self.data.cells_mut(r * self.cols..(r + 1) * self.cols)
     }
 
     /// Borrow row `r` as a slice (no concurrent writers to that row).
@@ -937,6 +1068,58 @@ mod tests {
         g.set_row(2, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(g.row(2), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(g.sum_f64(), 17.0);
+    }
+
+    #[test]
+    fn row_views_read_and_write_their_row() {
+        let g = SharedGrid::from_vec(3, 4, (0..12).map(|v| v as f64).collect());
+        let up = g.row_cells(0);
+        let me = g.row_cells_mut(1);
+        assert_eq!((up.len(), me.len()), (4, 4));
+        me.set(2, up.get(2) + me.get(2));
+        assert_eq!(g.row(1), &[4.0, 5.0, 8.0, 7.0]);
+        let tail = g.flat().cells(10..12);
+        assert_eq!((tail.get(0), tail.get(1)), (10.0, 11.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn row_view_rejects_a_row_past_the_end() {
+        SharedGrid::new(3, 4, 0u8).row_cells_mut(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn row_view_rejects_a_column_past_the_end() {
+        SharedGrid::new(3, 4, 0u8).row_cells(0).get(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "SharedGrid column 4 out of bounds")]
+    fn grid_set_rejects_the_column_one_past_the_end() {
+        // (1, 4) would otherwise land on (2, 0).
+        SharedGrid::new(3, 4, 0u8).set(1, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SharedGrid column 4 out of bounds")]
+    fn grid_get_rejects_the_column_one_past_the_end() {
+        SharedGrid::new(3, 4, 0u8).get(1, 4);
+    }
+
+    #[test]
+    fn write_view_marks_its_range_once() {
+        let v = SharedVec::new(3 * CHUNK_ELEMS, 0.0f64);
+        v.clear_dirty();
+        // Marked at creation, whether or not a cell is written.
+        let w = v.cells_mut(CHUNK_ELEMS - 1..CHUNK_ELEMS + 1);
+        assert_eq!(v.dirty_byte_ranges(), vec![0..2 * DIRTY_CHUNK_BYTES]);
+        w.set(1, 4.0);
+        assert_eq!(v.get(CHUNK_ELEMS), 4.0);
+        // Read views never mark.
+        v.clear_dirty();
+        assert_eq!(v.cells(0..3 * CHUNK_ELEMS).get(5), 0.0);
+        assert!(v.dirty_byte_ranges().is_empty());
     }
 
     #[test]

@@ -3,12 +3,21 @@
 //! These live in their own test binary because the tracker is process-global
 //! state; unit tests inside the crate run concurrently and would interfere.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use ppar_core::shared::{set_current_worker, tracking, SharedVec};
+use ppar_core::shared::{set_current_worker, tracking, SharedGrid, SharedVec};
+
+// The tests below enable, advance and disable the one process-wide tracker,
+// so they take turns.
+static TRACKER: Mutex<()> = Mutex::new(());
+
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    format!("{:?}", err.downcast_ref::<String>())
+}
 
 #[test]
 fn tracker_detects_cross_worker_overlap_and_allows_epochs() {
+    let _turn = TRACKER.lock().unwrap_or_else(|e| e.into_inner());
     // Part 1: overlapping writes from different workers panic.
     tracking::enable();
     let v = Arc::new(SharedVec::new(16, 0u64));
@@ -27,7 +36,7 @@ fn tracker_detects_cross_worker_overlap_and_allows_epochs() {
         result.is_err(),
         "conflicting write from another worker must panic"
     );
-    let msg = format!("{:?}", result.unwrap_err().downcast_ref::<String>());
+    let msg = panic_message(result.unwrap_err());
     assert!(
         msg.contains("disjoint-write contract violation"),
         "unexpected panic message: {msg}"
@@ -84,4 +93,69 @@ fn tracker_detects_cross_worker_overlap_and_allows_epochs() {
     .join()
     .unwrap();
     set_current_worker(0);
+}
+
+#[test]
+fn tracker_detects_overlapping_view_writes() {
+    let _turn = TRACKER.lock().unwrap_or_else(|e| e.into_inner());
+    tracking::enable();
+    tracking::advance_epoch();
+    let g = Arc::new(SharedGrid::new(4, 8, 0.0f64));
+
+    // Worker 0 writes row 1 through a write view; worker 1 writes an
+    // overlapping range of the flat vector through its own view.
+    set_current_worker(0);
+    g.row_cells_mut(1).set(5, 1.0);
+    let g2 = g.clone();
+    let result = std::thread::spawn(move || {
+        set_current_worker(1);
+        g2.flat().cells_mut(12..16).set(1, 2.0); // flat index 13 = (1, 5)
+    })
+    .join();
+    set_current_worker(0);
+    tracking::disable();
+    let msg = panic_message(result.expect_err("overlapping view write must panic"));
+    assert!(
+        msg.contains("disjoint-write contract violation") && msg.contains("index 13"),
+        "unexpected panic message: {msg}"
+    );
+}
+
+#[test]
+fn tracker_allows_disjoint_view_writes_and_new_epochs() {
+    let _turn = TRACKER.lock().unwrap_or_else(|e| e.into_inner());
+    tracking::enable();
+    tracking::advance_epoch();
+    let g = Arc::new(SharedGrid::new(4, 8, 0u64));
+
+    // Disjoint: each worker writes its own row, and every cell of it.
+    let threads: Vec<_> = (0..4)
+        .map(|w| {
+            let g = g.clone();
+            std::thread::spawn(move || {
+                set_current_worker(w);
+                let row = g.row_cells_mut(w);
+                for j in 0..row.len() {
+                    row.set(j, w as u64);
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("disjoint view writes must not panic");
+    }
+
+    // After a synchronisation point another worker may rewrite a row.
+    tracking::advance_epoch();
+    let g2 = g.clone();
+    std::thread::spawn(move || {
+        set_current_worker(1);
+        g2.row_cells_mut(0).set(3, 9);
+    })
+    .join()
+    .expect("view write in a new epoch must not panic");
+    set_current_worker(0);
+    tracking::disable();
+    assert_eq!(g.get(0, 3), 9);
+    assert_eq!(g.get(3, 7), 3);
 }

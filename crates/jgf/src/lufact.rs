@@ -127,10 +127,12 @@ pub fn lu_pluggable(ctx: &Ctx, p: &LuParams) -> (f64, f64) {
                 ctx.call("eliminate", move |ctx| {
                     let d = a3.get(k, k);
                     ctx.each("elim_rows", k + 1..n, |_, i| {
-                        let f = a3.get(i, k) / d;
-                        a3.set(i, k, f);
+                        let pivot = a3.row_cells(k);
+                        let row = a3.row_cells_mut(i);
+                        let f = row.get(k) / d;
+                        row.set(k, f);
                         for j in k + 1..n {
-                            a3.set(i, j, a3.get(i, j) - f * a3.get(k, j));
+                            row.set(j, row.get(j) - f * pivot.get(j));
                         }
                     });
                 });

@@ -17,7 +17,7 @@ use ppar_core::shared::SharedGrid;
 use ppar_core::state::{DistCell, StateCell};
 use ppar_dsm::{Endpoint, SimNet, SpmdConfig};
 
-use super::{fill_grid, init_value, relax_row, SorParams, SorResult};
+use super::{fill_grid, relax_row, SorParams, SorResult};
 
 // ---------------------------------------------------------------------------
 // original: threads
@@ -41,14 +41,7 @@ pub fn sor_threads(p: &SorParams, threads: usize) -> SorResult {
                 for _it in 0..p.iterations {
                     for color in 0..2usize {
                         for i in rows.clone() {
-                            relax_row(
-                                n,
-                                i + 1,
-                                color,
-                                p.omega,
-                                &|r, c| g_ref.get(r, c),
-                                &|r, c, v| g_ref.set(r, c, v),
-                            );
+                            relax_row(g_ref, i + 1, color, p.omega);
                         }
                         barrier_ref.wait();
                     }
@@ -107,9 +100,7 @@ pub fn sor_seq_invasive(p: &SorParams, every: usize, dir: &std::path::Path) -> S
     for it in start_iter..p.iterations {
         for color in 0..2usize {
             for i in 1..n - 1 {
-                relax_row(n, i, color, p.omega, &|r, c| g.get(r, c), &|r, c, v| {
-                    g.set(r, c, v)
-                });
+                relax_row(&g, i, color, p.omega);
             }
         }
         done = it + 1;
@@ -165,14 +156,7 @@ pub fn sor_threads_invasive(
                     }
                     for color in 0..2usize {
                         for i in rows.clone() {
-                            relax_row(
-                                n,
-                                i + 1,
-                                color,
-                                p.omega,
-                                &|r, c| g_ref.get(r, c),
-                                &|r, c, v| g_ref.set(r, c, v),
-                            );
+                            relax_row(g_ref, i + 1, color, p.omega);
                         }
                         barrier_ref.wait();
                     }
@@ -217,11 +201,7 @@ pub fn sor_dist(p: &SorParams, cfg: &SpmdConfig) -> SorResult {
             s.spawn(move || {
                 let ep = Endpoint::new(net, rank);
                 let g = SharedGrid::new(n, n, 0.0f64);
-                for i in 0..n {
-                    for j in 0..n {
-                        g.set(i, j, init_value(p.seed, i, j));
-                    }
-                }
+                fill_grid(&g, p.seed);
                 let own = block_owned(n, nranks, rank);
                 for _it in 0..p.iterations {
                     for color in 0..2usize {
@@ -238,9 +218,7 @@ pub fn sor_dist(p: &SorParams, cfg: &SpmdConfig) -> SorResult {
                         let lo = own.start.max(1);
                         let hi = own.end.min(n - 1);
                         for i in lo..hi {
-                            relax_row(n, i, color, p.omega, &|r, c| g.get(r, c), &|r, c, v| {
-                                g.set(r, c, v)
-                            });
+                            relax_row(&g, i, color, p.omega);
                         }
                     }
                 }
@@ -306,11 +284,7 @@ pub fn sor_dist_invasive(
             s.spawn(move || {
                 let ep = Endpoint::new(net, rank);
                 let g = SharedGrid::new(n, n, 0.0f64);
-                for i in 0..n {
-                    for j in 0..n {
-                        g.set(i, j, init_value(p.seed, i, j));
-                    }
-                }
+                fill_grid(&g, p.seed);
                 if let Some(bytes) = restored_ref {
                     g.load_bytes(bytes).unwrap();
                 }
@@ -330,9 +304,7 @@ pub fn sor_dist_invasive(
                         let lo = own.start.max(1);
                         let hi = own.end.min(n - 1);
                         for i in lo..hi {
-                            relax_row(n, i, color, p.omega, &|r, c| g.get(r, c), &|r, c, v| {
-                                g.set(r, c, v)
-                            });
+                            relax_row(&g, i, color, p.omega);
                         }
                     }
                     done = it + 1;

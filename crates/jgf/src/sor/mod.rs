@@ -82,30 +82,33 @@ pub fn init_value(seed: u64, i: usize, j: usize) -> f64 {
 /// Fill a shared grid with the deterministic initial state.
 pub fn fill_grid(g: &SharedGrid<f64>, seed: u64) {
     for i in 0..g.rows() {
-        for j in 0..g.cols() {
-            g.set(i, j, init_value(seed, i, j));
+        let row = g.row_cells_mut(i);
+        for j in 0..row.len() {
+            row.set(j, init_value(seed, i, j));
         }
     }
 }
 
-/// Relax every cell of row `i` with parity `color`, reading the four
-/// neighbours. `get`/`set` go through closures so all variants (raw vecs,
-/// shared grids) share the arithmetic.
+/// Relax every cell of interior row `i` with parity `color`, reading the
+/// four neighbours through row views of rows `i - 1`, `i` and `i + 1`. The
+/// arithmetic and its order are exactly [`sor_seq`]'s, so every variant
+/// built on this kernel stays bitwise equal to the reference.
 #[inline]
-pub fn relax_row(
-    n: usize,
-    i: usize,
-    color: usize,
-    omega: f64,
-    get: &impl Fn(usize, usize) -> f64,
-    set: &impl Fn(usize, usize, f64),
-) {
+pub fn relax_row(g: &SharedGrid<f64>, i: usize, color: usize, omega: f64) {
+    let n = g.cols();
     let jstart = 1 + ((i + color + 1) % 2);
+    if jstart + 1 >= n {
+        // No cell of this colour in the row: leave it unmarked.
+        return;
+    }
+    let up = g.row_cells(i - 1);
+    let down = g.row_cells(i + 1);
+    let me = g.row_cells_mut(i);
     let mut j = jstart;
     while j < n - 1 {
-        let stencil = get(i - 1, j) + get(i + 1, j) + get(i, j - 1) + get(i, j + 1);
-        let old = get(i, j);
-        set(i, j, omega * 0.25 * stencil + (1.0 - omega) * old);
+        let stencil = up.get(j) + down.get(j) + me.get(j - 1) + me.get(j + 1);
+        let old = me.get(j);
+        me.set(j, omega * 0.25 * stencil + (1.0 - omega) * old);
         j += 2;
     }
 }
@@ -157,6 +160,8 @@ pub fn grid_checksum(ctx: &Ctx, g: &SharedGrid<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppar_core::state::StateCell;
+    use proptest::prelude::*;
 
     #[test]
     fn init_is_deterministic_and_spread() {
@@ -199,41 +204,66 @@ mod tests {
         assert_eq!(r.iterations_done, 3);
     }
 
-    #[test]
-    fn relax_row_matches_inline_update() {
-        let n = 8;
-        let mut a = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i * n + j] = init_value(7, i, j);
+    /// One colour sweep over rows `1..n-1` through the per-element
+    /// accessors: the arithmetic `relax_row` must reproduce.
+    fn sweep_per_element(g: &SharedGrid<f64>, color: usize, omega: f64) {
+        let n = g.cols();
+        for i in 1..n - 1 {
+            let mut j = 1 + ((i + color + 1) % 2);
+            while j < n - 1 {
+                let stencil = g.get(i - 1, j) + g.get(i + 1, j) + g.get(i, j - 1) + g.get(i, j + 1);
+                let old = g.get(i, j);
+                g.set(i, j, omega * 0.25 * stencil + (1.0 - omega) * old);
+                j += 2;
             }
         }
-        let mut b = a.clone();
+    }
 
-        // inline (reference)
-        let omega = 1.25;
-        let i = 3;
-        let color = 1;
-        let jstart = 1 + ((i + color + 1) % 2);
-        let mut j = jstart;
-        while j < n - 1 {
-            let st = a[(i - 1) * n + j] + a[(i + 1) * n + j] + a[i * n + j - 1] + a[i * n + j + 1];
-            a[i * n + j] = omega * 0.25 * st + (1.0 - omega) * a[i * n + j];
-            j += 2;
+    /// Red then black sweep of one grid through `relax_row` and of a twin
+    /// through the per-element arithmetic: after each colour the cells are
+    /// bitwise equal and, dirty maps cleared beforehand, the same chunks are
+    /// marked.
+    fn assert_sweeps_match(n: usize, omega: f64, seed: u64) {
+        let views = SharedGrid::new(n, n, 0.0f64);
+        fill_grid(&views, seed);
+        let cells = SharedGrid::new(n, n, 0.0f64);
+        fill_grid(&cells, seed);
+        let bits = |g: &SharedGrid<f64>| -> Vec<u64> {
+            g.flat().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        for color in 0..2 {
+            views.clear_dirty();
+            cells.clear_dirty();
+            for i in 1..n - 1 {
+                relax_row(&views, i, color, omega);
+            }
+            sweep_per_element(&cells, color, omega);
+            assert_eq!(bits(&views), bits(&cells), "n={n} color={color}");
+            assert_eq!(
+                views.dirty_ranges(),
+                cells.dirty_ranges(),
+                "n={n} color={color}"
+            );
         }
+    }
 
-        // through relax_row
-        let b_cell = std::cell::RefCell::new(&mut b);
-        relax_row(
-            n,
-            i,
-            color,
-            omega,
-            &|r, c| b_cell.borrow()[r * n + c],
-            &|r, c, v| {
-                b_cell.borrow_mut()[r * n + c] = v;
-            },
-        );
-        assert_eq!(a, b);
+    proptest! {
+        /// Odd and even sides, both colours, any ω and seed.
+        #[test]
+        fn relax_row_matches_per_element_sweep(
+            n in 3usize..65,
+            omega in 0.1f64..1.95,
+            seed in any::<u64>(),
+        ) {
+            assert_sweeps_match(n, omega, seed);
+        }
+    }
+
+    #[test]
+    fn relax_row_matches_per_element_sweep_at_every_side() {
+        // The 3×3 grid's colour-1 sweep writes nothing and must mark nothing.
+        for n in 3..65 {
+            assert_sweeps_match(n, 1.25, n as u64);
+        }
     }
 }

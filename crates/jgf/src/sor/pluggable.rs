@@ -55,9 +55,7 @@ pub fn sor_pluggable(ctx: &Ctx, p: &SorParams) -> SorResult {
                     let g = g.clone();
                     ctx.call("sweep", move |ctx| {
                         ctx.each("rows", 1..n - 1, |_, i| {
-                            relax_row(n, i, color, omega, &|r, c| g.get(r, c), &|r, c, v| {
-                                g.set(r, c, v)
-                            });
+                            relax_row(&g, i, color, omega);
                         });
                     });
                 }
