@@ -8,6 +8,7 @@
 use ppar_adapt::{
     launch, launch_live, AdaptationController, AppStatus, Deploy, ReshapeKind, ResourceTimeline,
 };
+use ppar_ckpt::SnapshotIo;
 use ppar_core::mode::ExecMode;
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_ckpt_incremental, plan_hybrid, sor_pluggable};

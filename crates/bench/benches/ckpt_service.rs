@@ -35,7 +35,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::netrun::{spawn_local_cluster, ClusterSpec, NetConfig};
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
-use ppar_ckpt::transport::CkptTransport;
+use ppar_ckpt::SnapshotIo;
 use ppar_ckpt::{MemTransport, RawRecordKind};
 use ppar_net::{Fabric, NetTransport, TcpFabric};
 

@@ -14,7 +14,7 @@
 //! * `incremental_n*_d<pct>` — the dirty-chunk delta pipeline at a `pct`%
 //!   dirty fraction: per iteration the bench touches that share of the
 //!   grid's 8 KiB chunks and streams only those through
-//!   `CheckpointStore::stream_master_delta`. Save cost should scale with
+//!   `SnapshotIo::put_master_delta`. Save cost should scale with
 //!   the dirty fraction (the d100 arm ≈ the streaming full snapshot plus
 //!   the chunk map).
 //!
@@ -31,6 +31,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_ckpt::delta::DeltaMeta;
 use ppar_ckpt::store::{CheckpointStore, DeltaSource, FieldSource, Snapshot, SnapshotMeta};
+use ppar_ckpt::SnapshotIo;
 use ppar_core::shared::{SharedGrid, DIRTY_CHUNK_BYTES};
 use ppar_core::state::{Scalar, StateCell};
 
@@ -197,7 +198,7 @@ fn bench(c: &mut Criterion) {
                         },
                     )];
                     store
-                        .stream_master_delta(&dmeta, &fields, &mut scratch)
+                        .put_master_delta(&dmeta, &fields, &mut scratch)
                         .unwrap()
                 })
             });

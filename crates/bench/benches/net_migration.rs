@@ -31,6 +31,7 @@ use ppar_adapt::AppStatus;
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::MemTransport;
+use ppar_ckpt::SnapshotIo;
 use ppar_core::shared::SharedVec;
 use ppar_jgf::sor::pluggable::{plan_dist, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};

@@ -37,7 +37,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::{launch, launch_live, AdaptationController, AppStatus, Deploy, ResourceTimeline};
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
-use ppar_ckpt::transport::CkptTransport;
+use ppar_ckpt::SnapshotIo;
 use ppar_ckpt::{CheckpointModule, CheckpointStore, CkptStats, MemTransport};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::{Plan, Plug, PointSet};

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use ppar_bench::json;
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
+use ppar_ckpt::SnapshotIo;
 use ppar_ckpt::{CasConfig, CheckpointStore};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
 use ppar_net::{Fabric, NetTransport, TcpFabric};

@@ -69,7 +69,6 @@
 //!
 //! | variable                   | effect                                       |
 //! |----------------------------|----------------------------------------------|
-//! | `PPAR_STORE_LAYOUT`        | `cas` selects this layout for new stores     |
 //! | `PPAR_STORE_QUOTA_BYTES`   | object-volume quota that triggers GC         |
 //! | `PPAR_STORE_GC_GRACE_SECS` | GC grace window (default 60)                 |
 //! | `PPAR_STORE_SYNC`          | `1` fsyncs novel chunk objects at commit     |

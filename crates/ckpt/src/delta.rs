@@ -103,29 +103,11 @@ pub struct DeltaSnapshot {
 }
 
 impl DeltaMeta {
-    /// Integrity-check a delta file and decode only its header — no field
-    /// payloads are materialized. Lets the restart-target computation walk
-    /// a chain at CRC + header cost instead of performing the full merge
-    /// twice (once for the count, once for the actual load).
-    pub fn decode(bytes: &[u8]) -> Result<DeltaMeta> {
-        let (body, _) = DeltaSnapshot::check_crc(bytes)?;
-        let mut r = Reader { buf: body, pos: 0 };
-        DeltaSnapshot::decode_header(&mut r)
-    }
-
-    /// Header-only decode of an in-memory delta record (no CRC
-    /// re-verification; see [`crate::store::Snapshot`]'s trusted decode).
-    pub(crate) fn decode_trusted(bytes: &[u8]) -> Result<DeltaMeta> {
-        if bytes.len() < DELTA_MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint(
-                "delta record too short".into(),
-            ));
-        }
-        let mut r = Reader {
-            buf: &bytes[..bytes.len() - 4],
-            pos: 0,
-        };
-        DeltaSnapshot::decode_header(&mut r)
+    /// Decode only the header at the front of a delta record — a bounded
+    /// header read (the restart-target chain walk): no CRC check, no
+    /// payload.
+    pub(crate) fn decode_head(bytes: &[u8]) -> Result<DeltaMeta> {
+        DeltaSnapshot::decode_header(&mut Reader { buf: bytes, pos: 0 })
     }
 }
 

@@ -34,10 +34,11 @@ use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
 
 use crate::delta::DeltaMeta;
+use crate::snapshot::SnapshotIo;
 use crate::store::{
     CheckpointStore, DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotView,
 };
-use crate::transport::CkptTransport;
+use crate::transport::{Chains, CkptTransport};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -214,6 +215,10 @@ impl CheckpointModule {
         n: usize,
     ) -> Result<Vec<Arc<CheckpointModule>>> {
         let store = CheckpointStore::new(dir)?;
+        // No writer can be in flight during this single start-up pass (the
+        // checkpoint service starts later), so temp files of saves that died
+        // mid-write are orphans on fresh and replaying runs alike.
+        store.remove_orphaned_temps()?;
         let detected_failure = store.marker_exists();
         let restart_count = if detected_failure {
             store.restart_count()?
@@ -233,7 +238,7 @@ impl CheckpointModule {
             // first base promotion and its GC would then merge
             // mixed-generation bytes. Purge every chain up front; the old
             // base stays (it is harmless and about to be replaced).
-            store.clear_all_deltas()?;
+            store.remove_deltas(Chains::All)?;
         }
 
         store.set_marker()?;
@@ -505,7 +510,7 @@ impl CheckpointModule {
     /// identical cursors on every shard), extract the `PPARPRG1` field, and
     /// stash the snapshot for [`CkptHook::load_snapshot`] so the restore
     /// reads the record once instead of twice. Mirrors the decode-failure
-    /// contract of [`CkptTransport::read_progress`]: a missing or
+    /// contract of [`SnapshotIo::read_progress`]: a missing or
     /// undecodable cursor degrades to `None`, never fails the restore.
     fn read_progress_prefetching(&self) -> Result<Option<RegionCursor>> {
         let decode = |snap: &Snapshot| {
@@ -539,10 +544,16 @@ impl CheckpointModule {
         }
     }
 
-    /// Stream a master snapshot (complete data at the caller — engines must
-    /// have collected partitioned fields first): every field streams
-    /// straight from its registered cell; no payload is materialized.
-    fn stream_master_snapshot(&self, ctx: &Ctx, meta: &SnapshotMeta) -> Result<u64> {
+    /// Stream a master snapshot into `to` (complete data at the caller —
+    /// engines must have collected partitioned fields first): every field
+    /// streams straight from its registered cell; no payload is
+    /// materialized.
+    fn stream_master_snapshot(
+        &self,
+        ctx: &Ctx,
+        meta: &SnapshotMeta,
+        to: &dyn CkptTransport,
+    ) -> Result<u64> {
         let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
         let mut cells: Vec<(&String, Arc<dyn StateCell>)> = Vec::new();
         for name in ctx.plan().safe_data() {
@@ -556,7 +567,7 @@ impl CheckpointModule {
             fields.push((PROGRESS_FIELD, FieldSource::Bytes(p)));
         }
         let mut scratch = self.scratch.lock();
-        self.transport.put_master(meta, &fields, &mut scratch)
+        to.put_master(meta, &fields, &mut scratch)
     }
 
     /// Stream a local shard: partitioned fields contribute only this
@@ -874,7 +885,7 @@ impl CkptHook for CheckpointModule {
             if sharded {
                 self.stream_shard_snapshot(ctx, &meta)
             } else {
-                self.stream_master_snapshot(ctx, &meta)
+                self.stream_master_snapshot(ctx, &meta, &*self.transport)
             }
         };
 
@@ -888,7 +899,7 @@ impl CkptHook for CheckpointModule {
                     // deltas that the merge step ignores (base_count
                     // mismatch), never a broken restore.
                     let written = stream_full(count)?;
-                    self.transport.clear_deltas(rank)?;
+                    self.transport.remove_deltas(Chains::Of(rank))?;
                     *chain = DeltaChain {
                         have_base: true,
                         base_count: count,
@@ -1153,22 +1164,7 @@ impl CkptHook for CheckpointModule {
             rank: None,
             nranks: ctx.num_ranks() as u32,
         };
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut cells: Vec<(&String, Arc<dyn StateCell>)> = Vec::new();
-        for name in ctx.plan().safe_data() {
-            cells.push((name, ctx.registry().state(name)?));
-        }
-        let mut fields: Vec<(&str, FieldSource<'_>)> = cells
-            .iter()
-            .map(|(name, cell)| (name.as_str(), FieldSource::Cell(&**cell)))
-            .collect();
-        if let Some(p) = &prog {
-            fields.push((PROGRESS_FIELD, FieldSource::Bytes(p)));
-        }
-        let written = {
-            let mut scratch = self.scratch.lock();
-            sink.put_master(&meta, &fields, &mut scratch)?
-        };
+        let written = self.stream_master_snapshot(ctx, &meta, &*sink)?;
         let mut stats = self.stats.lock();
         stats.handoff_snapshots += 1;
         stats.last_handoff_bytes = written;
@@ -1407,7 +1403,7 @@ mod tests {
             "one-chunk delta ({}B) must be far below the full snapshot ({full_bytes}B)",
             s.last_save_bytes
         );
-        assert!(module.store().read_master_delta(3).unwrap().is_some());
+        assert!(module.store().read_delta(None, 3).unwrap().is_some());
 
         // Point 5: chain is full -> promotion + delta GC.
         g.set(6, 5.0);
@@ -1415,7 +1411,7 @@ mod tests {
         let s = module.stats();
         assert_eq!((s.full_snapshots, s.delta_snapshots), (2, 3));
         assert_eq!(s.snapshots_taken, 5);
-        assert!(module.store().read_master_delta(1).unwrap().is_none());
+        assert!(module.store().read_delta(None, 1).unwrap().is_none());
         assert_eq!(
             module.store().read_merged_master().unwrap().unwrap().count,
             5
@@ -1490,7 +1486,7 @@ mod tests {
                 g.set(0, i as f64);
                 ctx.point("iter");
             }
-            assert!(module.store().read_master_delta(1).unwrap().is_some());
+            assert!(module.store().read_delta(None, 1).unwrap().is_some());
             ctx.finish();
         }
 
@@ -1503,13 +1499,49 @@ mod tests {
             let module = CheckpointModule::create(&dir, &plan).unwrap();
             assert!(!module.will_replay(), "clean finish -> fresh run");
             assert!(
-                module.store().read_master_delta(1).unwrap().is_none(),
+                module.store().read_delta(None, 1).unwrap().is_none(),
                 "stale chain from the previous generation must be purged"
             );
             // The old base alone is what restart_count now sees.
             assert_eq!(module.store().restart_count().unwrap(), Some(1));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Temp files of saves that died mid-write (a killed local save, a
+    /// service install killed with its process) are swept at start-up, on
+    /// replaying and fresh runs alike, without touching committed records.
+    #[test]
+    fn start_up_sweeps_orphaned_temp_records() {
+        for replaying in [true, false] {
+            let dir = tmpdir(&format!("orphans_{replaying}"));
+            let store = CheckpointStore::new(&dir).unwrap();
+            let snap = Snapshot {
+                mode_tag: "seq".into(),
+                count: 3,
+                rank: None,
+                nranks: 1,
+                fields: vec![("G".into(), vec![7u8; 64])],
+            };
+            store.write_master(&snap).unwrap();
+            if replaying {
+                store.set_marker().unwrap();
+            }
+            let master = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
+            let orphans = ["ckpt_master.tmp", "ckpt_rank_1.tmp17", "ckpt_commit.tmp"];
+            for name in orphans {
+                std::fs::write(dir.join(name), b"torn").unwrap();
+            }
+
+            let module = CheckpointModule::create(&dir, &ckpt_plan(1)).unwrap();
+            assert_eq!(module.will_replay(), replaying);
+            for name in orphans {
+                assert!(!dir.join(name).exists(), "{name} survived start-up");
+            }
+            assert_eq!(std::fs::read(dir.join("ckpt_master.bin")).unwrap(), master);
+            assert_eq!(module.store().read_merged_master().unwrap().unwrap(), snap);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

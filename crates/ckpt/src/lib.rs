@@ -8,10 +8,13 @@
 //!
 //! * a portable binary snapshot format ([`codec`], [`store`]) with CRC-32
 //!   integrity and atomic replacement;
-//! * a pluggable byte **transport** ([`transport`]): the same streamed
-//!   records travel to disk ([`CheckpointStore`]) or stay in process
-//!   memory ([`MemTransport`] — the live-reshape hand-off and a disk-free
-//!   lane for benches);
+//! * two persistence layers: a keyed-record **medium** seam
+//!   ([`transport::CkptTransport`]) — the same opaque records stored on
+//!   disk ([`CheckpointStore`]), in process memory ([`MemTransport`] — the
+//!   live-reshape hand-off) or behind a network client — and the
+//!   **snapshot layer** above it ([`snapshot::SnapshotIo`]), written once
+//!   for every medium: snapshot and delta encoding, delta-chain merging,
+//!   the restart target, count-pinned reads and merged-record streaming;
 //! * dirty-chunk **incremental** snapshots ([`delta`]): delta records that
 //!   persist only the bytes written since the previous snapshot;
 //! * the safe-point clock and snapshot policy ([`hook::CheckpointModule`]);
@@ -49,8 +52,8 @@
 //!   fresh base and the superseded chain is garbage-collected. Deltas are
 //!   tied to their base by the base's safe-point count, so a crash between
 //!   promotion and GC leaves only *stale* deltas that the loader skips.
-//! * **Restore** — `CheckpointStore::read_merged_master` /
-//!   `read_merged_shard` fold base + chain (last writer wins per byte) into
+//! * **Restore** — [`SnapshotIo::read_merged_master`] /
+//!   [`SnapshotIo::read_merged_shard`] fold base + chain (last writer wins per byte) into
 //!   a state byte-identical to a full snapshot, and a restart replays to
 //!   the *last delta's* safe point. Merged data stays mode-independent:
 //!   incremental snapshots restart in any execution mode, in any aggregate
@@ -75,6 +78,7 @@ pub mod digest;
 pub mod hook;
 pub mod pcr;
 pub mod serde_cell;
+pub mod snapshot;
 pub mod store;
 pub mod transport;
 
@@ -85,5 +89,8 @@ pub use digest::ChunkDigest;
 pub use hook::{CheckpointModule, CkptStats};
 pub use pcr::{launch_seq, AppStatus, RunReport};
 pub use serde_cell::{alloc_serde, SerdeCell};
+pub use snapshot::SnapshotIo;
 pub use store::{CheckpointStore, Snapshot, SnapshotView};
-pub use transport::{CkptTransport, DedupRecordSink, MemTransport, RawRecordKind, RawRecordSink};
+pub use transport::{
+    Chains, CkptTransport, DedupRecordSink, MemTransport, RawRecordKind, RawRecordSink,
+};

@@ -38,10 +38,12 @@
 //!
 //! ## Streaming write path
 //!
-//! Snapshots are persisted by [`SnapshotWriter`]: header, fields and
-//! trailing CRC are streamed through a [`std::io::BufWriter`] with a
-//! *running* slice-by-8 CRC-32 — at no point does a whole-snapshot buffer
-//! exist. Field payloads come from a [`FieldSource`]:
+//! The snapshot layer ([`crate::snapshot`]) encodes every record with
+//! [`SnapshotWriter`]: header, fields and trailing CRC stream straight into
+//! the medium's put sink — for a checkpoint directory, a
+//! [`std::io::BufWriter`] over a temp file — with a *running* slice-by-8
+//! CRC-32; at no point does a whole-snapshot buffer exist. Field payloads
+//! come from a [`FieldSource`]:
 //!
 //! * [`FieldSource::Cell`] streams a live [`StateCell`] through
 //!   [`StateCell::write_state`]; containers with contiguous little-endian
@@ -67,7 +69,13 @@ use std::path::{Path, PathBuf};
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
 
+use crate::cas::PutStats;
 use crate::crc::{crc32, Crc32};
+use crate::snapshot::SnapshotIo;
+use crate::transport::{
+    Chains, CkptTransport, DedupRecordSink, RawRecordKind, RawRecordSink, RecordVisitor,
+    WHOLE_RECORD,
+};
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
 pub(crate) const MASTER_RANK: u32 = 0xFFFF_FFFF;
@@ -112,6 +120,14 @@ impl Snapshot {
         }
     }
 
+    /// The payloads as streaming-writer field sources.
+    pub fn field_sources(&self) -> Vec<(&str, FieldSource<'_>)> {
+        self.fields
+            .iter()
+            .map(|(name, bytes)| (name.as_str(), FieldSource::Bytes(bytes)))
+            .collect()
+    }
+
     /// The legacy materialized encoder: builds the whole snapshot in one
     /// buffer, then checksums it. Kept as the golden byte-for-byte reference
     /// the streaming [`SnapshotWriter`] is tested against (and as the
@@ -141,18 +157,23 @@ impl Snapshot {
     /// rank-side restart path both decode wire records with exactly the
     /// file reader.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
+        Snapshot::check_crc(bytes)?;
+        Snapshot::decode_body(&bytes[..bytes.len() - 4])
+    }
+
+    fn check_crc(bytes: &[u8]) -> Result<()> {
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PparError::CorruptCheckpoint("file too short".into()));
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte trailer"));
         if crc32(body) != stored_crc {
             return Err(PparError::CorruptCheckpoint(format!(
                 "CRC mismatch: stored {stored_crc:#010x}, computed {:#010x}",
                 crc32(body)
             )));
         }
-        Snapshot::decode_body(body)
+        Ok(())
     }
 
     /// Decode a record whose integrity has *already* been established:
@@ -226,6 +247,15 @@ impl<'a> SnapshotView<'a> {
         }
     }
 
+    /// Decode one full record a medium handed out, verifying its trailing
+    /// CRC unless the medium vouches for the bytes (`verified`).
+    pub(crate) fn decode_record(bytes: &'a [u8], verified: bool) -> Result<SnapshotView<'a>> {
+        if !verified {
+            Snapshot::check_crc(bytes)?;
+        }
+        SnapshotView::decode_trusted(bytes)
+    }
+
     /// Structural decode of an in-process record (no CRC re-verification;
     /// see [`Snapshot::decode_trusted`]).
     pub(crate) fn decode_trusted(bytes: &'a [u8]) -> Result<SnapshotView<'a>> {
@@ -269,6 +299,17 @@ impl<'a> SnapshotView<'a> {
             fields,
         })
     }
+}
+
+/// The safe-point count in a full record's header, read from (a prefix of)
+/// its bytes; `None` when the header does not parse.
+pub(crate) fn peek_record_count(head: &[u8]) -> Option<u64> {
+    let mut r = Reader { buf: head, pos: 0 };
+    if r.take(8).ok()? != MAGIC {
+        return None;
+    }
+    r.take_str().ok()?;
+    r.take_u64().ok()
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -331,9 +372,7 @@ pub enum DeltaSource<'a> {
 }
 
 /// Adapter that forwards writes to the sink while folding every byte into
-/// the running CRC (when checksumming is on). Handed to
-/// [`StateCell::write_state`] so even cell-driven writes stay on the
-/// single-pass path.
+/// the running CRC (when checksumming is on).
 struct CrcTee<'a, W: Write> {
     sink: &'a mut W,
     crc: Option<&'a mut Crc32>,
@@ -370,7 +409,8 @@ impl<W: Write> Write for CrcTee<'_, W> {
 /// [`Snapshot::encode`] for the same content.
 ///
 /// Records destined for process memory (the live-reshape hand-off) may be
-/// written *unchecksummed*: the byte layout is identical but the 4-byte
+/// written *unchecksummed* ([`SnapshotWriter::without_checksum`]): the byte
+/// layout is identical but the 4-byte
 /// trailer is zero, saving a full pass over multi-MiB payloads. The
 /// in-memory transport's trusted decode ignores the trailer; writing such a
 /// record to a disk file would fail CRC verification on load — by design,
@@ -388,32 +428,7 @@ impl<W: Write> SnapshotWriter<W> {
     /// Start a snapshot: writes the header for `meta` announcing `nfields`
     /// upcoming fields.
     pub fn new(sink: W, meta: &SnapshotMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::full_writer(sink, meta, nfields, true)
-    }
-
-    /// [`SnapshotWriter::new`] without the checksum pass (in-memory
-    /// records; see the type docs).
-    pub fn new_unchecksummed(
-        sink: W,
-        meta: &SnapshotMeta,
-        nfields: u32,
-    ) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::full_writer(sink, meta, nfields, false)
-    }
-
-    fn full_writer(
-        sink: W,
-        meta: &SnapshotMeta,
-        nfields: u32,
-        checksum: bool,
-    ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter {
-            sink,
-            crc: Crc32::new(),
-            checksum,
-            written: 0,
-            fields_remaining: nfields,
-        };
+        let mut w = SnapshotWriter::over(sink, nfields);
         w.put(MAGIC)?;
         w.put_str(&meta.mode_tag)?;
         w.put(&meta.count.to_le_bytes())?;
@@ -421,6 +436,23 @@ impl<W: Write> SnapshotWriter<W> {
         w.put(&meta.nranks.to_le_bytes())?;
         w.put(&nfields.to_le_bytes())?;
         Ok(w)
+    }
+
+    fn over(sink: W, nfields: u32) -> SnapshotWriter<W> {
+        SnapshotWriter {
+            sink,
+            crc: Crc32::new(),
+            checksum: true,
+            written: 0,
+            fields_remaining: nfields,
+        }
+    }
+
+    /// Skip the checksum pass from here on and seal the record with a zero
+    /// trailer (in-memory records; see the type docs).
+    pub fn without_checksum(mut self) -> SnapshotWriter<W> {
+        self.checksum = false;
+        self
     }
 
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
@@ -447,43 +479,24 @@ impl<W: Write> SnapshotWriter<W> {
         self.put(s.as_bytes())
     }
 
-    fn begin_field(&mut self, name: &str, payload_len: u64) -> Result<()> {
+    fn begin_field(&mut self, name: &str) -> Result<()> {
         if self.fields_remaining == 0 {
             return Err(PparError::InvalidPlan(
                 "SnapshotWriter: more fields written than announced".into(),
             ));
         }
         self.fields_remaining -= 1;
-        self.put_str(name)?;
-        self.put(&payload_len.to_le_bytes())
+        self.put_str(name)
     }
 
-    /// Write one field from pre-extracted bytes.
-    pub fn field_bytes(&mut self, name: &str, payload: &[u8]) -> Result<()> {
-        self.begin_field(name, payload.len() as u64)?;
-        self.put(payload)
-    }
-
-    /// Write one field by streaming `cell`. Cells that know their encoded
-    /// length stream directly (zero-copy for LE containers); others are
-    /// buffered once through `scratch`, whose capacity is reused across
-    /// snapshots.
-    pub fn field_cell(
-        &mut self,
-        name: &str,
-        cell: &dyn StateCell,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        match cell.known_byte_len() {
-            Some(len) => {
-                self.begin_field(name, len as u64)?;
-                self.stream_cell_checked(name, cell, len as u64)
-            }
-            None => {
-                scratch.clear();
-                cell.save_into(scratch);
-                self.field_bytes(name, scratch)
-            }
+    /// The sink as a writer that folds every byte into the running CRC:
+    /// handed to [`StateCell::write_state`] so cell-driven writes stay on
+    /// the single-pass path.
+    fn tee(&mut self) -> CrcTee<'_, W> {
+        CrcTee {
+            sink: &mut self.sink,
+            crc: self.checksum.then_some(&mut self.crc),
+            written: &mut self.written,
         }
     }
 
@@ -494,10 +507,42 @@ impl<W: Write> SnapshotWriter<W> {
         source: &FieldSource<'_>,
         scratch: &mut Vec<u8>,
     ) -> Result<()> {
-        match source {
-            FieldSource::Cell(cell) => self.field_cell(name, *cell, scratch),
-            FieldSource::Bytes(bytes) => self.field_bytes(name, bytes),
-        }
+        self.begin_field(name)?;
+        self.whole_payload(name, source, scratch)
+    }
+
+    /// A whole payload: `u64` length, then the bytes (full-snapshot fields
+    /// and whole-field delta entries). Cells that know their encoded length
+    /// stream directly (zero-copy for LE containers); others are buffered
+    /// once through `scratch`, whose capacity is reused across snapshots.
+    fn whole_payload(
+        &mut self,
+        name: &str,
+        source: &FieldSource<'_>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<()> {
+        let bytes = match source {
+            FieldSource::Bytes(bytes) => bytes,
+            FieldSource::Cell(cell) => match cell.known_byte_len() {
+                Some(len) => {
+                    self.put(&(len as u64).to_le_bytes())?;
+                    let streamed = cell.write_state(&mut self.tee())?;
+                    if streamed != len as u64 {
+                        return Err(PparError::CorruptCheckpoint(format!(
+                            "field {name:?}: cell announced {len} bytes but streamed {streamed}"
+                        )));
+                    }
+                    return Ok(());
+                }
+                None => {
+                    scratch.clear();
+                    cell.save_into(scratch);
+                    &scratch[..]
+                }
+            },
+        };
+        self.put(&(bytes.len() as u64).to_le_bytes())?;
+        self.put(bytes)
     }
 
     // ---- delta records (see crate::delta for the format) ----
@@ -510,32 +555,7 @@ impl<W: Write> SnapshotWriter<W> {
         meta: &crate::delta::DeltaMeta,
         nfields: u32,
     ) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::delta_writer(sink, meta, nfields, true)
-    }
-
-    /// [`SnapshotWriter::new_delta`] without the checksum pass (in-memory
-    /// records; see the type docs).
-    pub fn new_delta_unchecksummed(
-        sink: W,
-        meta: &crate::delta::DeltaMeta,
-        nfields: u32,
-    ) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::delta_writer(sink, meta, nfields, false)
-    }
-
-    fn delta_writer(
-        sink: W,
-        meta: &crate::delta::DeltaMeta,
-        nfields: u32,
-        checksum: bool,
-    ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter {
-            sink,
-            crc: Crc32::new(),
-            checksum,
-            written: 0,
-            fields_remaining: nfields,
-        };
+        let mut w = SnapshotWriter::over(sink, nfields);
         w.put(crate::delta::DELTA_MAGIC)?;
         w.put(&crate::delta::DELTA_VERSION.to_le_bytes())?;
         w.put_str(&meta.mode_tag)?;
@@ -546,63 +566,6 @@ impl<W: Write> SnapshotWriter<W> {
         w.put(&meta.nranks.to_le_bytes())?;
         w.put(&nfields.to_le_bytes())?;
         Ok(w)
-    }
-
-    fn begin_delta_field(&mut self, name: &str, kind: u8) -> Result<()> {
-        if self.fields_remaining == 0 {
-            return Err(PparError::InvalidPlan(
-                "SnapshotWriter: more delta fields written than announced".into(),
-            ));
-        }
-        self.fields_remaining -= 1;
-        self.put_str(name)?;
-        self.put(&[kind])
-    }
-
-    fn stream_cell_checked(&mut self, name: &str, cell: &dyn StateCell, expect: u64) -> Result<()> {
-        let streamed = {
-            let mut tee = CrcTee {
-                sink: &mut self.sink,
-                crc: self.checksum.then_some(&mut self.crc),
-                written: &mut self.written,
-            };
-            cell.write_state(&mut tee)?
-        };
-        if streamed != expect {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: cell announced {expect} bytes but streamed {streamed}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Write one whole-field delta entry (kind 0) from pre-extracted bytes.
-    pub fn delta_field_full_bytes(&mut self, name: &str, payload: &[u8]) -> Result<()> {
-        self.begin_delta_field(name, 0)?;
-        self.put(&(payload.len() as u64).to_le_bytes())?;
-        self.put(payload)
-    }
-
-    /// Write one whole-field delta entry (kind 0) by streaming `cell`
-    /// (same length/scratch discipline as [`SnapshotWriter::field_cell`]).
-    pub fn delta_field_full_cell(
-        &mut self,
-        name: &str,
-        cell: &dyn StateCell,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        match cell.known_byte_len() {
-            Some(len) => {
-                self.begin_delta_field(name, 0)?;
-                self.put(&(len as u64).to_le_bytes())?;
-                self.stream_cell_checked(name, cell, len as u64)
-            }
-            None => {
-                scratch.clear();
-                cell.save_into(scratch);
-                self.delta_field_full_bytes(name, scratch)
-            }
-        }
     }
 
     fn put_sparse_map(&mut self, full_len: u64, ranges: &[std::ops::Range<usize>]) -> Result<u64> {
@@ -618,76 +581,50 @@ impl<W: Write> SnapshotWriter<W> {
         Ok(total)
     }
 
-    /// Write one sparse delta entry (kind 1) by streaming the cell's dirty
-    /// ranges through [`StateCell::write_dirty_state`] — the zero-copy path
-    /// for LE containers; only touched chunks leave the cell.
-    pub fn delta_field_sparse_cell(
-        &mut self,
-        name: &str,
-        cell: &dyn StateCell,
-        ranges: &[std::ops::Range<usize>],
-    ) -> Result<()> {
-        self.begin_delta_field(name, 1)?;
-        let total = self.put_sparse_map(cell.byte_len() as u64, ranges)?;
-        let streamed = {
-            let mut tee = CrcTee {
-                sink: &mut self.sink,
-                crc: self.checksum.then_some(&mut self.crc),
-                written: &mut self.written,
-            };
-            cell.write_dirty_state(ranges, &mut tee)?
-        };
-        if streamed != total {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: dirty map announced {total} bytes but cell \
-                 streamed {streamed}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Write one sparse delta entry (kind 1) from pre-extracted range bytes
-    /// (`payload` = concatenation of the ranges' bytes, in order).
-    pub fn delta_field_sparse_bytes(
-        &mut self,
-        name: &str,
-        full_len: u64,
-        ranges: &[std::ops::Range<usize>],
-        payload: &[u8],
-    ) -> Result<()> {
-        self.begin_delta_field(name, 1)?;
-        let total = self.put_sparse_map(full_len, ranges)?;
-        if total != payload.len() as u64 {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: dirty map announces {total} bytes, payload has {}",
-                payload.len()
-            )));
-        }
-        self.put(payload)
-    }
-
-    /// Write one delta field from a [`DeltaSource`].
+    /// Write one delta field from a [`DeltaSource`]: a whole-field entry
+    /// (kind 0), or a sparse entry (kind 1) — the dirty-range map, then
+    /// the ranges' bytes, streamed from a cell through
+    /// [`StateCell::write_dirty_state`] (zero-copy for LE containers; only
+    /// touched chunks leave the cell) or copied from pre-extracted bytes.
     pub fn delta_field(
         &mut self,
         name: &str,
         source: &DeltaSource<'_>,
         scratch: &mut Vec<u8>,
     ) -> Result<()> {
+        self.begin_field(name)?;
         match source {
-            DeltaSource::Full(FieldSource::Cell(cell)) => {
-                self.delta_field_full_cell(name, *cell, scratch)
-            }
-            DeltaSource::Full(FieldSource::Bytes(bytes)) => {
-                self.delta_field_full_bytes(name, bytes)
+            DeltaSource::Full(source) => {
+                self.put(&[0])?;
+                self.whole_payload(name, source, scratch)
             }
             DeltaSource::DirtyCell { cell, ranges } => {
-                self.delta_field_sparse_cell(name, *cell, ranges)
+                self.put(&[1])?;
+                let total = self.put_sparse_map(cell.byte_len() as u64, ranges)?;
+                let streamed = cell.write_dirty_state(ranges, &mut self.tee())?;
+                if streamed != total {
+                    return Err(PparError::CorruptCheckpoint(format!(
+                        "field {name:?}: dirty map announced {total} bytes but cell \
+                         streamed {streamed}"
+                    )));
+                }
+                Ok(())
             }
             DeltaSource::DirtyBytes {
                 full_len,
                 ranges,
                 payload,
-            } => self.delta_field_sparse_bytes(name, *full_len, ranges, payload),
+            } => {
+                self.put(&[1])?;
+                let total = self.put_sparse_map(*full_len, ranges)?;
+                if total != payload.len() as u64 {
+                    return Err(PparError::CorruptCheckpoint(format!(
+                        "field {name:?}: dirty map announces {total} bytes, payload has {}",
+                        payload.len()
+                    )));
+                }
+                self.put(payload)
+            }
         }
     }
 
@@ -708,92 +645,25 @@ impl<W: Write> SnapshotWriter<W> {
     }
 }
 
-/// The file-backed store is one [`crate::transport::CkptTransport`]
-/// implementation (the durable one); the `put_*` sinks are exactly the
-/// inherent `stream_*` methods, so the on-disk format stays byte-identical
-/// to every earlier release (golden-bytes tested above).
-impl crate::transport::CkptTransport for CheckpointStore {
+/// A checkpoint directory is the durable medium: each key is one record
+/// file (flat layout) or one manifest over shared chunk objects
+/// (content-addressed layout), written through a temp file or journaled
+/// transaction and promoted atomically — a crash mid-save never leaves a
+/// partial record under the final name.
+impl CkptTransport for CheckpointStore {
     fn describe(&self) -> &'static str {
         "file"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_master(meta, fields, scratch)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_shard(meta, fields, scratch)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_master_delta(meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_shard_delta(meta, fields, scratch)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_merged_master(self)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_merged_shard(self, rank)
-    }
-
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_shard_at(self, rank, count)
-    }
-
-    fn restart_count(&self) -> Result<Option<u64>> {
-        CheckpointStore::restart_count(self)
-    }
-
-    fn commit_group(&self, count: u64) -> Result<()> {
-        CheckpointStore::commit_group(self, count)
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        CheckpointStore::clear_deltas(self, rank)
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        CheckpointStore::clear_all_deltas(self)
-    }
-
-    fn begin_raw<'a>(
+    fn begin_put<'a>(
         &'a self,
-        kind: crate::transport::RawRecordKind,
+        key: RawRecordKind,
         _len_hint: u64,
-    ) -> Result<Box<dyn crate::transport::RawRecordSink + 'a>> {
-        use crate::transport::RawRecordKind;
-        let dst = match kind {
-            RawRecordKind::Master => self.master_path(),
-            RawRecordKind::Shard(rank) => self.shard_path(rank),
-            RawRecordKind::MasterDelta { seq } => self.delta_path(None, seq),
-            RawRecordKind::ShardDelta { rank, seq } => self.delta_path(Some(rank), seq),
-        };
-        let rotate = match kind {
+    ) -> Result<Box<dyn RawRecordSink + 'a>> {
+        let dst = self.record_path(key);
+        // Shard saves rotate the committed previous generation aside
+        // before the new record lands (see `rotate_shard_generation`).
+        let rotate = match key {
             RawRecordKind::Shard(rank) => Some(rank),
             _ => None,
         };
@@ -805,8 +675,8 @@ impl crate::transport::CkptTransport for CheckpointStore {
                 rotate,
             }));
         }
-        // Unique temp name per in-flight install: parallel per-rank
-        // pipelines may stream into the same directory concurrently.
+        // Unique temp name per in-flight put: parallel per-rank service
+        // lanes may stream into the same directory concurrently.
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
@@ -814,78 +684,134 @@ impl crate::transport::CkptTransport for CheckpointStore {
         Ok(Box::new(FileRawSink {
             tmp,
             dst,
-            w: Some(BufWriter::new(file)),
+            w: BufWriter::new(file),
+            written: 0,
             rotate: rotate.map(|rank| (self, rank)),
+            renamed: false,
         }))
     }
 
-    fn take_put_stats(&self) -> crate::cas::PutStats {
+    fn read_record(
+        &self,
+        key: RawRecordKind,
+        max: usize,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<bool> {
+        let path = self.record_path(key);
+        let bytes = if max == WHOLE_RECORD {
+            self.record_bytes(&path)?
+        } else {
+            self.record_head(&path, max)?
+        };
+        match bytes {
+            Some(bytes) => {
+                visit(&bytes, false)?;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    fn copy_record(&self, key: RawRecordKind, out: &mut dyn Write) -> Result<Option<u64>> {
+        let path = self.record_path(key);
+        if let Some(cas) = &self.cas {
+            if let Some(written) = cas.write_record_to(CheckpointStore::rec_name(&path), out)? {
+                return Ok(Some(written));
+            }
+        }
+        let mut file = match fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        Ok(Some(std::io::copy(&mut file, out)?))
+    }
+
+    /// Sweeps any extension, so an orphaned temp file from a crash
+    /// mid-delta-write is collected too.
+    fn remove_deltas(&self, chains: Chains) -> Result<()> {
+        let prefix = match chains {
+            Chains::Of(rank) => Some(CheckpointStore::delta_prefix(rank)),
+            Chains::All => None,
+        };
+        let doomed = |name: &str| match &prefix {
+            Some(prefix) => name.starts_with(prefix),
+            None => name.starts_with("ckpt_") && name.contains("_delta_"),
+        };
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if doomed(&entry.file_name().to_string_lossy()) {
+                CheckpointStore::remove_if_present(entry.path())?;
+            }
+        }
+        if let Some(cas) = &self.cas {
+            for name in cas.list_manifests()? {
+                if doomed(&name) {
+                    cas.remove_manifest(&name)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Advance the group-commit point (atomically) to safe point `count`.
+    fn commit_group(&self, count: u64) -> Result<()> {
+        let tmp = self.commit_path().with_extension("tmp");
+        fs::write(&tmp, count.to_le_bytes())?;
+        fs::rename(&tmp, self.commit_path())?;
+        Ok(())
+    }
+
+    /// The group-commit point: the newest safe point at which *every* shard
+    /// of the group is durable. `None` before the first commit.
+    fn committed_count(&self) -> Result<Option<u64>> {
+        match fs::read(self.commit_path()) {
+            Ok(bytes) => {
+                let arr: [u8; 8] = bytes.as_slice().try_into().map_err(|_| {
+                    PparError::CorruptCheckpoint(format!(
+                        "group-commit record holds {} bytes, expected 8",
+                        bytes.len()
+                    ))
+                })?;
+                Ok(Some(u64::from_le_bytes(arr)))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    fn take_put_stats(&self) -> PutStats {
         match &self.cas {
             Some(cas) => cas.take_put_stats(),
-            None => crate::cas::PutStats::default(),
+            None => PutStats::default(),
         }
     }
 
     fn begin_raw_dedup<'a>(
         &'a self,
-        kind: crate::transport::RawRecordKind,
+        key: RawRecordKind,
         chunks: &[crate::cas::ChunkRef],
         total_len: u64,
-    ) -> Result<Option<Box<dyn crate::transport::DedupRecordSink + 'a>>> {
-        use crate::transport::RawRecordKind;
+    ) -> Result<Option<Box<dyn DedupRecordSink + 'a>>> {
         let Some(cas) = &self.cas else {
             return Ok(None);
         };
-        let dst = match kind {
-            RawRecordKind::Master => self.master_path(),
-            RawRecordKind::Shard(rank) => self.shard_path(rank),
-            RawRecordKind::MasterDelta { seq } => self.delta_path(None, seq),
-            RawRecordKind::ShardDelta { rank, seq } => self.delta_path(Some(rank), seq),
-        };
-        let rotate = match kind {
+        let rotate = match key {
             RawRecordKind::Shard(rank) => Some(rank),
             _ => None,
         };
         Ok(Some(Box::new(CasDedupSink {
             store: self,
             txn: Some(cas.begin_dedup(chunks, total_len)?),
-            name: CheckpointStore::rec_name(&dst).to_string(),
+            name: CheckpointStore::rec_name(&self.record_path(key)).to_string(),
             rotate,
         })))
     }
-
-    fn write_merged_record_at(
-        &self,
-        rank: Option<u32>,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        match rank {
-            // Master records are single-writer and atomic: the merged tip
-            // is always group-consistent.
-            None => self.write_merged_record(None, out),
-            Some(r) => CheckpointStore::write_merged_shard_at(self, r, count, out),
-        }
-    }
-
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        // Fast path: no delta chain pending — the base record *is* the
-        // checksummed merged record, so copy it straight through without
-        // decoding (the receiving end verifies the trailing CRC).
-        if !self.record_exists(&self.delta_path(rank, 1)) {
-            let path = match rank {
-                None => self.master_path(),
-                Some(r) => self.shard_path(r),
-            };
-            return self.record_copy_to(&path, out);
-        }
-        crate::transport::write_merged_fallback(self, rank, out)
-    }
 }
 
-/// Raw streamed install into a content-addressed transaction: chunks
-/// dedup as they arrive, commit is the same rotate-then-promote sequence
-/// as [`FileRawSink`], abort (or drop) rolls the journal back.
+/// A put into a content-addressed transaction: chunks dedup as they
+/// arrive, commit is the same rotate-then-promote sequence as
+/// [`FileRawSink`], abort (or drop) rolls the journal back.
 struct CasRawSink<'a> {
     store: &'a CheckpointStore,
     txn: Option<crate::cas::CasTxn>,
@@ -893,7 +819,7 @@ struct CasRawSink<'a> {
     rotate: Option<u32>,
 }
 
-impl crate::transport::RawRecordSink for CasRawSink<'_> {
+impl RawRecordSink for CasRawSink<'_> {
     fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
         self.txn
             .as_mut()
@@ -929,7 +855,7 @@ struct CasDedupSink<'a> {
     rotate: Option<u32>,
 }
 
-impl crate::transport::DedupRecordSink for CasDedupSink<'_> {
+impl DedupRecordSink for CasDedupSink<'_> {
     fn missing(&self) -> &[u32] {
         self.txn.as_ref().expect("sink used after commit").missing()
     }
@@ -956,38 +882,36 @@ impl crate::transport::DedupRecordSink for CasDedupSink<'_> {
     }
 }
 
-/// Raw streamed install straight to a temp file, finalized with the same
-/// atomic-rename discipline as every other snapshot write: a crash (or an
-/// abort) mid-stream never leaves a partial record under the final name.
+/// A put streamed through a [`BufWriter`] into a temp file and renamed over
+/// the final name at commit: a crash (or an abort) mid-stream never leaves
+/// a partial record under the final name. No record-sized buffer exists.
 struct FileRawSink<'a> {
     tmp: PathBuf,
     dst: PathBuf,
-    w: Option<BufWriter<fs::File>>,
+    w: BufWriter<fs::File>,
+    written: u64,
     /// Shard installs rotate the committed previous generation aside
     /// before the rename lands (see
     /// [`CheckpointStore::rotate_shard_generation`]).
     rotate: Option<(&'a CheckpointStore, u32)>,
+    renamed: bool,
 }
 
-impl crate::transport::RawRecordSink for FileRawSink<'_> {
+impl RawRecordSink for FileRawSink<'_> {
     fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.w
-            .as_mut()
-            .expect("sink used after finish")
-            .write_all(chunk)?;
+        self.w.write_all(chunk)?;
+        self.written += chunk.len() as u64;
         Ok(())
     }
 
     fn commit(mut self: Box<Self>) -> Result<u64> {
-        let mut w = self.w.take().expect("sink used after finish");
-        w.flush()?;
-        let written = w.get_ref().metadata()?.len();
-        drop(w);
+        self.w.flush()?;
         if let Some((store, rank)) = self.rotate {
             store.rotate_shard_generation(rank)?;
         }
         fs::rename(&self.tmp, &self.dst)?;
-        Ok(written)
+        self.renamed = true;
+        Ok(self.written)
     }
 
     fn abort(self: Box<Self>) {
@@ -997,10 +921,9 @@ impl crate::transport::RawRecordSink for FileRawSink<'_> {
 
 impl Drop for FileRawSink<'_> {
     fn drop(&mut self) {
-        // Reached with the writer still live only on abort or a panicked
-        // install: discard the partial temp file (commit already took the
-        // writer and renamed).
-        if self.w.take().is_some() {
+        // Abort, a failed commit or a panicked put: discard the partial
+        // temp file.
+        if !self.renamed {
             let _ = fs::remove_file(&self.tmp);
         }
     }
@@ -1050,13 +973,13 @@ impl<'a> Reader<'a> {
 ///   deduplicated chunk objects, so a steady-state snapshot whose pages
 ///   mostly didn't change costs ~metadata instead of ~data.
 ///
-/// Selection: `PPAR_STORE_LAYOUT=cas` (or [`CheckpointStore::new_cas`])
-/// opts a new directory into the content-addressed layout; a directory
-/// that already holds one is detected and reopened as such regardless of
-/// the environment. Either way the records read back bitwise-identical —
-/// both layouts store the same golden record encoding — and a
-/// content-addressed store still *reads* legacy flat files, so old run
-/// directories restore unchanged.
+/// Selection: [`CheckpointStore::new`] opens new directories flat and
+/// reopens a directory that already holds a content-addressed store as
+/// such; [`CheckpointStore::new_cas`] opts a new directory into the
+/// content-addressed layout. Either way the records read back
+/// bitwise-identical — both layouts store the same golden record encoding
+/// — and a content-addressed store still *reads* legacy flat files, so old
+/// run directories restore unchanged.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -1065,22 +988,18 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Open (creating if needed) a checkpoint directory. The layout comes
-    /// from `PPAR_STORE_LAYOUT` (`cas` selects the content-addressed
-    /// store) or from auto-detection when the directory already holds a
-    /// content-addressed store.
+    /// Open (creating if needed) a checkpoint directory: the
+    /// content-addressed layout when the directory already holds a
+    /// content-addressed store, the flat layout otherwise.
     pub fn new(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
-        let want_cas = std::env::var("PPAR_STORE_LAYOUT").is_ok_and(|v| v == "cas")
-            || crate::cas::CasStore::detect(dir.as_ref());
-        if want_cas {
+        if crate::cas::CasStore::detect(dir.as_ref()) {
             CheckpointStore::new_cas(dir)
         } else {
             CheckpointStore::new_flat(dir)
         }
     }
 
-    /// Open a checkpoint directory in the legacy flat layout regardless of
-    /// the environment.
+    /// Open a checkpoint directory in the legacy flat layout.
     pub fn new_flat(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
         fs::create_dir_all(dir.as_ref())?;
         Ok(CheckpointStore {
@@ -1143,13 +1062,23 @@ impl CheckpointStore {
         }
     }
 
-    fn record_exists(&self, path: &Path) -> bool {
+    /// The first `max` bytes of the record (header peeks), or `None` when
+    /// absent under both layouts.
+    fn record_head(&self, path: &Path, max: usize) -> Result<Option<Vec<u8>>> {
+        use std::io::Read;
         if let Some(cas) = &self.cas {
-            if cas.manifest_exists(CheckpointStore::rec_name(path)) {
-                return true;
+            if let Some(head) = cas.read_head(CheckpointStore::rec_name(path), max)? {
+                return Ok(Some(head));
             }
         }
-        path.exists()
+        let file = match fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut head = Vec::new();
+        file.take(max as u64).read_to_end(&mut head)?;
+        Ok(Some(head))
     }
 
     /// Rename a record (manifest-level in the content-addressed layout;
@@ -1171,26 +1100,21 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Copy a record's encoded bytes straight into `out` (the raw
-    /// streaming restore path); `None` when absent.
-    fn record_copy_to(&self, path: &Path, out: &mut dyn Write) -> Result<Option<u64>> {
-        if let Some(cas) = &self.cas {
-            if let Some(written) = cas.write_record_to(CheckpointStore::rec_name(path), out)? {
-                return Ok(Some(written));
-            }
-        }
-        let mut file = match fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Some(std::io::copy(&mut file, out)?))
-    }
-
     /// A freshly committed content-addressed record supersedes any legacy
     /// flat file of the same name left from before the layout switch.
     fn remove_superseded_flat(&self, name: &str) {
         let _ = fs::remove_file(self.dir.join(name));
+    }
+
+    /// Where the record under `key` lives.
+    fn record_path(&self, key: RawRecordKind) -> PathBuf {
+        match key {
+            RawRecordKind::Master => self.master_path(),
+            RawRecordKind::Shard(rank) => self.shard_path(rank),
+            RawRecordKind::PrevShard(rank) => self.prev_shard_path(rank),
+            RawRecordKind::MasterDelta { seq } => self.delta_path(None, seq),
+            RawRecordKind::ShardDelta { rank, seq } => self.delta_path(Some(rank), seq),
+        }
     }
 
     fn master_path(&self) -> PathBuf {
@@ -1231,97 +1155,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Stream one snapshot atomically: temp file → [`SnapshotWriter`] over a
-    /// [`BufWriter`] → flush → rename. No whole-snapshot buffer exists at
-    /// any point. `rotate_rank` (shard writes) preserves the committed
-    /// previous generation before the rename lands.
-    fn stream_atomic(
-        &self,
-        path: &Path,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-        rotate_rank: Option<u32>,
-    ) -> Result<u64> {
-        if let Some(cas) = &self.cas {
-            // Content-addressed path: the record streams chunk by chunk
-            // into a staged transaction; only novel chunks hit the object
-            // tree, and promote is the same single-rename commit as the
-            // flat layout's temp-file rename.
-            let mut w = SnapshotWriter::new(cas.begin()?, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
-            }
-            let (written, txn) = w.finish()?;
-            if let Some(rank) = rotate_rank {
-                self.rotate_shard_generation(rank)?;
-            }
-            let name = CheckpointStore::rec_name(path);
-            txn.commit(name)?;
-            self.remove_superseded_flat(name);
-            return Ok(written);
-        }
-        let tmp = path.with_extension("tmp");
-        let file = fs::File::create(&tmp)?;
-        let mut w = SnapshotWriter::new(BufWriter::new(file), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.field(name, source, scratch)?;
-        }
-        let (written, sink) = w.finish()?;
-        drop(sink);
-        if let Some(rank) = rotate_rank {
-            self.rotate_shard_generation(rank)?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(written)
-    }
-
-    /// Peek the safe-point count in a record's header without materializing
-    /// the payload. `None` when the file is missing or its header does not
-    /// parse (a peek never hard-fails: the caller falls back to the full,
-    /// CRC-checked read path).
-    fn peek_record_count(path: &Path) -> Option<u64> {
-        use std::io::Read;
-        // MAGIC(8) + mode-tag length(8) + tag bytes + count(8): mode tags
-        // are short strings, so the count lives comfortably inside 4 KiB.
-        let mut head = [0u8; 4096];
-        let mut file = fs::File::open(path).ok()?;
-        let mut got = 0;
-        while got < head.len() {
-            match file.read(&mut head[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(_) => return None,
-            }
-        }
-        let mut r = Reader {
-            buf: &head[..got],
-            pos: 0,
-        };
-        CheckpointStore::peek_count_in(&mut r)
-    }
-
-    fn peek_count_in(r: &mut Reader<'_>) -> Option<u64> {
-        if r.take(8).ok()? != MAGIC {
-            return None;
-        }
-        r.take_str().ok()?;
-        r.take_u64().ok()
-    }
-
-    /// [`CheckpointStore::peek_record_count`] through the record seam:
-    /// manifest head first in the content-addressed layout, flat file
-    /// otherwise.
-    fn peek_count(&self, path: &Path) -> Option<u64> {
-        if let Some(cas) = &self.cas {
-            if let Ok(Some(head)) = cas.read_head(CheckpointStore::rec_name(path), 4096) {
-                let mut r = Reader { buf: &head, pos: 0 };
-                return CheckpointStore::peek_count_in(&mut r);
-            }
-        }
-        CheckpointStore::peek_record_count(path)
-    }
-
     /// Preserve the committed generation of shard `rank` before a new base
     /// record replaces it: rotate `dst → prev` unless `dst` has already
     /// diverged from the commit point (then `prev` still holds the committed
@@ -1329,11 +1162,13 @@ impl CheckpointStore {
     /// not evict the only restorable record).
     fn rotate_shard_generation(&self, rank: u32) -> Result<()> {
         let dst = self.shard_path(rank);
-        if !self.record_exists(&dst) {
+        let Some(head) = self.record_head(&dst, 4096)? else {
             return Ok(());
-        }
+        };
         let keep = match self.committed_count()? {
-            Some(c) => self.peek_count(&dst) == Some(c),
+            // A header that does not parse never matches: the full,
+            // CRC-checked read path reports it when it matters.
+            Some(c) => peek_record_count(&head) == Some(c),
             // No commit point yet: one generation of history is still
             // better than none.
             None => true,
@@ -1344,43 +1179,16 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// The group-commit point: the newest safe point at which *every* shard
-    /// of the group is durable. `None` before the first commit.
-    pub fn committed_count(&self) -> Result<Option<u64>> {
-        match fs::read(self.commit_path()) {
-            Ok(bytes) => {
-                let arr: [u8; 8] = bytes.as_slice().try_into().map_err(|_| {
-                    PparError::CorruptCheckpoint(format!(
-                        "group-commit record holds {} bytes, expected 8",
-                        bytes.len()
-                    ))
-                })?;
-                Ok(Some(u64::from_le_bytes(arr)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Advance the group-commit point (atomically) to safe point `count`.
-    pub fn commit_group(&self, count: u64) -> Result<()> {
-        let tmp = self.commit_path().with_extension("tmp");
-        fs::write(&tmp, count.to_le_bytes())?;
-        fs::rename(&tmp, self.commit_path())?;
-        Ok(())
-    }
-
     /// Stream a master snapshot from live field sources; returns bytes
-    /// written. `scratch` buffers length-unknown cells and is reused across
-    /// calls (pass the module's persistent buffer).
+    /// written (the snapshot layer's
+    /// [`crate::snapshot::SnapshotIo::put_master`] on this directory).
     pub fn stream_master(
         &self,
         meta: &SnapshotMeta,
         fields: &[(&str, FieldSource<'_>)],
         scratch: &mut Vec<u8>,
     ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master snapshot must have rank None");
-        self.stream_atomic(&self.master_path(), meta, fields, scratch, None)
+        self.put_master(meta, fields, scratch)
     }
 
     /// Stream one element's shard from live field sources; returns bytes
@@ -1391,213 +1199,18 @@ impl CheckpointStore {
         fields: &[(&str, FieldSource<'_>)],
         scratch: &mut Vec<u8>,
     ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard snapshot needs a rank".into()))?;
-        self.stream_atomic(&self.shard_path(rank), meta, fields, scratch, Some(rank))
+        self.put_shard(meta, fields, scratch)
     }
 
     /// Persist a materialized master snapshot; returns bytes written.
-    /// (Streams `snap`'s payloads — convenience wrapper over
-    /// [`CheckpointStore::stream_master`] for callers that already hold a
-    /// [`Snapshot`].)
     pub fn write_master(&self, snap: &Snapshot) -> Result<u64> {
-        debug_assert!(snap.rank.is_none(), "master snapshot must have rank None");
-        let fields: Vec<(&str, FieldSource<'_>)> = snap
-            .fields
-            .iter()
-            .map(|(name, bytes)| (name.as_str(), FieldSource::Bytes(bytes)))
-            .collect();
-        self.stream_master(&snap.meta(), &fields, &mut Vec::new())
+        self.put_master(&snap.meta(), &snap.field_sources(), &mut Vec::new())
     }
 
-    /// Persist a materialized shard snapshot; returns bytes written.
-    pub fn write_shard(&self, snap: &Snapshot) -> Result<u64> {
-        if snap.rank.is_none() {
-            return Err(PparError::InvalidPlan("shard snapshot needs a rank".into()));
-        }
-        let fields: Vec<(&str, FieldSource<'_>)> = snap
-            .fields
-            .iter()
-            .map(|(name, bytes)| (name.as_str(), FieldSource::Bytes(bytes)))
-            .collect();
-        self.stream_shard(&snap.meta(), &fields, &mut Vec::new())
-    }
-
-    /// Stream one delta record atomically (same temp-file + rename
-    /// discipline as full snapshots: a crash mid-write never leaves a
-    /// half-written delta under the final name).
-    fn stream_delta_atomic(
-        &self,
-        path: &Path,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        if let Some(cas) = &self.cas {
-            let mut w = SnapshotWriter::new_delta(cas.begin()?, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.delta_field(name, source, scratch)?;
-            }
-            let (written, txn) = w.finish()?;
-            let name = CheckpointStore::rec_name(path);
-            txn.commit(name)?;
-            self.remove_superseded_flat(name);
-            return Ok(written);
-        }
-        let tmp = path.with_extension("tmp");
-        let file = fs::File::create(&tmp)?;
-        let mut w = SnapshotWriter::new_delta(BufWriter::new(file), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.delta_field(name, source, scratch)?;
-        }
-        let (written, sink) = w.finish()?;
-        drop(sink);
-        fs::rename(&tmp, path)?;
-        Ok(written)
-    }
-
-    /// Stream a master delta record; returns bytes written.
-    pub fn stream_master_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master delta must have rank None");
-        self.stream_delta_atomic(&self.delta_path(None, meta.seq), meta, fields, scratch)
-    }
-
-    /// Stream one element's shard delta record; returns bytes written.
-    pub fn stream_shard_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard delta needs a rank".into()))?;
-        self.stream_delta_atomic(
-            &self.delta_path(Some(rank), meta.seq),
-            meta,
-            fields,
-            scratch,
-        )
-    }
-
-    fn read(&self, path: &Path) -> Result<Option<Snapshot>> {
-        match self.record_bytes(path)? {
+    /// Load the master base snapshot (no delta chain folded in), if present.
+    pub fn read_master(&self) -> Result<Option<Snapshot>> {
+        match self.record_bytes(&self.master_path())? {
             Some(bytes) => Snapshot::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn read_delta(
-        &self,
-        rank: Option<u32>,
-        seq: u32,
-    ) -> Result<Option<crate::delta::DeltaSnapshot>> {
-        match self.record_bytes(&self.delta_path(rank, seq))? {
-            Some(bytes) => crate::delta::DeltaSnapshot::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Load delta `seq` of the master chain, if present.
-    pub fn read_master_delta(&self, seq: u32) -> Result<Option<crate::delta::DeltaSnapshot>> {
-        self.read_delta(None, seq)
-    }
-
-    /// Load delta `seq` of rank `rank`'s chain, if present.
-    pub fn read_shard_delta(
-        &self,
-        rank: u32,
-        seq: u32,
-    ) -> Result<Option<crate::delta::DeltaSnapshot>> {
-        self.read_delta(Some(rank), seq)
-    }
-
-    /// Fold the on-disk delta chain onto `snap` (the base full snapshot).
-    /// The chain is walked from seq 1 until the first missing file; a delta
-    /// whose `base_count` does not match the base is *stale* (left over from
-    /// a crash between base promotion and delta GC) and terminates the walk
-    /// harmlessly. Corrupt or out-of-order deltas are hard errors. (Chain
-    /// rules are shared with every other transport through
-    /// [`crate::transport::merge_chain_with`].)
-    fn merge_chain(&self, snap: Snapshot) -> Result<Snapshot> {
-        crate::transport::merge_chain_with(snap, |rank, seq| self.read_delta(rank, seq))
-    }
-
-    /// Load the master snapshot with its delta chain folded in: the result
-    /// is byte-identical (per field) to a full snapshot of the same state.
-    pub fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        match self.read_master()? {
-            None => Ok(None),
-            Some(snap) => self.merge_chain(snap).map(Some),
-        }
-    }
-
-    /// Load rank `rank`'s shard with its delta chain folded in.
-    pub fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        match self.read_shard(rank)? {
-            None => Ok(None),
-            Some(snap) => self.merge_chain(snap).map(Some),
-        }
-    }
-
-    /// Load rank `rank`'s shard *at exactly* safe point `count`: serve the
-    /// current generation when its (count-bounded) merge lands on `count`,
-    /// else fall back to the retained previous generation. This is how a
-    /// restore survives a torn group save — shards that already advanced
-    /// past the commit point roll back to their preserved older record.
-    pub fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        let mut seen = Vec::new();
-        for path in [self.shard_path(rank), self.prev_shard_path(rank)] {
-            let Some(base) = self.read(&path)? else {
-                continue;
-            };
-            if base.count > count {
-                seen.push(base.count);
-                continue;
-            }
-            let merged =
-                crate::transport::merge_chain_to(base, count, |r, s| self.read_delta(r, s))?;
-            if merged.count == count {
-                return Ok(Some(merged));
-            }
-            seen.push(merged.count);
-        }
-        if seen.is_empty() {
-            Ok(None)
-        } else {
-            Err(PparError::CorruptCheckpoint(format!(
-                "no generation of shard {rank} can serve safe point {count} \
-                 (available: {seen:?})"
-            )))
-        }
-    }
-
-    /// Stream the merged record of shard `rank` at exactly safe point
-    /// `count` into `out`. Raw copy-through when a retained base generation
-    /// is the record verbatim; otherwise materialize via
-    /// [`CheckpointStore::read_shard_at`] and re-encode.
-    pub fn write_merged_shard_at(
-        &self,
-        rank: u32,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        for path in [self.shard_path(rank), self.prev_shard_path(rank)] {
-            if self.peek_count(&path) == Some(count) {
-                match self.record_copy_to(&path, out)? {
-                    Some(written) => return Ok(Some(written)),
-                    None => continue,
-                }
-            }
-        }
-        match self.read_shard_at(rank, count)? {
-            Some(snap) => crate::transport::write_snapshot_record(&snap, out).map(Some),
             None => Ok(None),
         }
     }
@@ -1612,94 +1225,20 @@ impl CheckpointStore {
         }
     }
 
-    /// Delete every delta of one chain (promotion GC: called after a new
-    /// base full snapshot has been persisted). Sweeps any extension, so an
-    /// orphaned `.tmp` from a crash mid-delta-write is collected too
-    /// instead of accumulating across restart cycles.
-    pub fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let prefix = CheckpointStore::delta_prefix(rank);
+    /// Delete the temp files of saves that died mid-write (`ckpt_*.tmp*`:
+    /// a failed or killed local save, or a service install killed with its
+    /// process — neither reaches its cleanup). Committed records are never
+    /// touched. Start-up only: a put in flight would lose its temp file.
+    pub fn remove_orphaned_temps(&self) -> Result<()> {
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if name.starts_with(&prefix) {
+            if name.starts_with("ckpt_") && name.contains(".tmp") {
                 CheckpointStore::remove_if_present(entry.path())?;
             }
         }
-        if let Some(cas) = &self.cas {
-            for name in cas.list_manifests()? {
-                if name.starts_with(&prefix) {
-                    cas.remove_manifest(&name)?;
-                }
-            }
-        }
         Ok(())
-    }
-
-    /// Delete every delta file of *every* chain (master and all ranks).
-    /// Fresh-run hygiene: a previous generation's leftover chain could
-    /// carry a `base_count` that collides with the counts this run will
-    /// produce, so the checkpoint module purges before its first snapshot
-    /// whenever it is not replaying.
-    pub fn clear_all_deltas(&self) -> Result<()> {
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("ckpt_") && name.contains("_delta_") {
-                CheckpointStore::remove_if_present(entry.path())?;
-            }
-        }
-        if let Some(cas) = &self.cas {
-            for name in cas.list_manifests()? {
-                if name.starts_with("ckpt_") && name.contains("_delta_") {
-                    cas.remove_manifest(&name)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Load the master snapshot, if present.
-    pub fn read_master(&self) -> Result<Option<Snapshot>> {
-        self.read(&self.master_path())
-    }
-
-    /// Load element `rank`'s shard, if present.
-    pub fn read_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.read(&self.shard_path(rank))
-    }
-
-    /// The safe-point count at the tip of a base's delta chain, walking
-    /// delta *headers* only (CRC-checked, but no payload is materialized —
-    /// the full merge happens once, at load time).
-    fn chain_tip_count(&self, base_count: u64, rank: Option<u32>) -> Result<u64> {
-        crate::transport::chain_tip_with(base_count, rank, |rank, seq| {
-            match self.record_bytes(&self.delta_path(rank, seq))? {
-                Some(bytes) => crate::delta::DeltaMeta::decode(&bytes).map(Some),
-                None => Ok(None),
-            }
-        })
-    }
-
-    /// The safe-point count a restart should replay to: prefers the master
-    /// snapshot, falls back to shard 0 (local-snapshot strategy). `None`
-    /// when no usable snapshot exists. Delta chains count: a restart
-    /// replays to the *last delta's* safe point, not the base's.
-    pub fn restart_count(&self) -> Result<Option<u64>> {
-        // A group-commit point is authoritative when present (sharded
-        // strategies write one after every post-save barrier): individual
-        // shard tips may have outrun it if a save was torn by a rank death.
-        if let Some(c) = self.committed_count()? {
-            return Ok(Some(c));
-        }
-        if let Some(s) = self.read_master()? {
-            return Ok(Some(self.chain_tip_count(s.count, None)?));
-        }
-        if let Some(s) = self.read_shard(0)? {
-            return Ok(Some(self.chain_tip_count(s.count, Some(0))?));
-        }
-        Ok(None)
     }
 
     /// Mark a run as in flight. Idempotent (all aggregate elements call it).
@@ -1715,11 +1254,7 @@ impl CheckpointStore {
 
     /// Clear the in-flight marker (normal completion).
     pub fn clear_marker(&self) -> Result<()> {
-        match fs::remove_file(self.marker_path()) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        CheckpointStore::remove_if_present(self.marker_path())
     }
 
     /// Remove all snapshots and the marker (fresh directory for a new
@@ -1834,9 +1369,11 @@ mod tests {
         assert_eq!(store.read_master().unwrap().unwrap(), master);
 
         let shard = sample(Some(3));
-        store.write_shard(&shard).unwrap();
-        assert_eq!(store.read_shard(3).unwrap().unwrap(), shard);
-        assert!(store.read_shard(4).unwrap().is_none());
+        store
+            .put_shard(&shard.meta(), &shard.field_sources(), &mut Vec::new())
+            .unwrap();
+        assert_eq!(store.read_merged_shard(3).unwrap().unwrap(), shard);
+        assert!(store.read_merged_shard(4).unwrap().is_none());
 
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1849,7 +1386,9 @@ mod tests {
 
         let mut shard = sample(Some(0));
         shard.count = 50;
-        store.write_shard(&shard).unwrap();
+        store
+            .put_shard(&shard.meta(), &shard.field_sources(), &mut Vec::new())
+            .unwrap();
         assert_eq!(store.restart_count().unwrap(), Some(50));
 
         let mut master = sample(None);
@@ -1880,11 +1419,14 @@ mod tests {
         let store = CheckpointStore::new(&dir).unwrap();
         store.set_marker().unwrap();
         store.write_master(&sample(None)).unwrap();
-        store.write_shard(&sample(Some(1))).unwrap();
+        let shard = sample(Some(1));
+        store
+            .put_shard(&shard.meta(), &shard.field_sources(), &mut Vec::new())
+            .unwrap();
         store.clear_all().unwrap();
         assert!(!store.marker_exists());
         assert!(store.read_master().unwrap().is_none());
-        assert!(store.read_shard(1).unwrap().is_none());
+        assert!(store.read_merged_shard(1).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2130,11 +1672,15 @@ mod tests {
         assert!(w.finish().is_err());
         // More fields than announced: the extra field must refuse.
         let mut w = SnapshotWriter::new(Vec::new(), &meta, 1).unwrap();
-        w.field_bytes("a", &[1]).unwrap();
-        assert!(w.field_bytes("b", &[2]).is_err());
+        w.field("a", &FieldSource::Bytes(&[1]), &mut Vec::new())
+            .unwrap();
+        assert!(w
+            .field("b", &FieldSource::Bytes(&[2]), &mut Vec::new())
+            .is_err());
         // Exact count round-trips.
         let mut w = SnapshotWriter::new(Vec::new(), &meta, 1).unwrap();
-        w.field_bytes("a", &[1, 2, 3]).unwrap();
+        w.field("a", &FieldSource::Bytes(&[1, 2, 3]), &mut Vec::new())
+            .unwrap();
         let (written, bytes) = w.finish().unwrap();
         assert_eq!(written as usize, bytes.len());
         let decoded = Snapshot::decode(&bytes).unwrap();
@@ -2182,7 +1728,7 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(20, 10, 1, None);
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &dm,
                 &[(
                     "G",
@@ -2201,7 +1747,7 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(30, 10, 2, None);
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &dm,
                 &[(
                     "G",
@@ -2228,9 +1774,9 @@ mod tests {
         );
 
         // Promotion GC.
-        store.clear_deltas(None).unwrap();
-        assert!(store.read_master_delta(1).unwrap().is_none());
-        assert!(store.read_master_delta(2).unwrap().is_none());
+        store.remove_deltas(Chains::Of(None)).unwrap();
+        assert!(store.read_delta(None, 1).unwrap().is_none());
+        assert!(store.read_delta(None, 2).unwrap().is_none());
         assert_eq!(store.read_merged_master().unwrap().unwrap().count, 10);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2253,7 +1799,7 @@ mod tests {
 
         let dm = delta_meta(2, 1, 1, None);
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &dm,
                 &[(
                     "G",
@@ -2289,7 +1835,7 @@ mod tests {
         v.set(7, 3.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &delta_meta(2, 1, 1, None),
                 &[(
                     "G",
@@ -2356,7 +1902,7 @@ mod tests {
         v.set(0, 1.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &delta_meta(2, 1, 1, None),
                 &[(
                     "G",
@@ -2382,7 +1928,7 @@ mod tests {
 
         // An in-chain sequence-number mismatch, by contrast, is corruption.
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &delta_meta(4, 3, 2, None),
                 &[("G", DeltaSource::Full(FieldSource::Cell(&v)))],
                 &mut Vec::new(),
@@ -2419,7 +1965,7 @@ mod tests {
         let mut dm = delta_meta(6, 5, 1, Some(2));
         dm.nranks = 4;
         store
-            .stream_shard_delta(
+            .put_shard_delta(
                 &dm,
                 &[(
                     "G",
@@ -2452,7 +1998,7 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let opaque = vec![1u8, 2, 3];
         store
-            .stream_master_delta(
+            .put_master_delta(
                 &delta_meta(7, 3, 2, None),
                 &[
                     (
@@ -2467,7 +2013,7 @@ mod tests {
                 &mut Vec::new(),
             )
             .unwrap();
-        let d = store.read_master_delta(2).unwrap().unwrap();
+        let d = store.read_delta(None, 2).unwrap().unwrap();
         assert_eq!(d.meta, delta_meta(7, 3, 2, None));
         assert_eq!(d.fields.len(), 2);
         match &d.fields[0].1 {
@@ -2515,7 +2061,7 @@ mod tests {
                 }
                 let ranges = v.dirty_byte_ranges();
                 store
-                    .stream_master_delta(
+                    .put_master_delta(
                         &delta_meta(1 + seq as u64, 1, seq, None),
                         &[("G", DeltaSource::DirtyCell { cell: &v, ranges: &ranges })],
                         &mut Vec::new(),

@@ -1,57 +1,60 @@
-//! Pluggable checkpoint transports: where snapshot bytes travel.
+//! The checkpoint record seam: where encoded records live.
 //!
-//! The checkpoint layer separates *what* is persisted (the snapshot and
-//! delta formats of [`crate::store`] and [`crate::delta`]) from *where* the
-//! bytes go. A [`CkptTransport`] is a sink + source pair:
+//! A [`CkptTransport`] is a *medium*: it stores opaque, already-encoded
+//! records under a [`RawRecordKind`] key and knows nothing of what they
+//! mean. Four media ship:
 //!
-//! * **sink** — streaming full-snapshot writes ([`CkptTransport::put_master`]
-//!   / [`CkptTransport::put_shard`]) and delta-record writes, all through
-//!   the shared golden encoder ([`crate::store::SnapshotWriter`]), so every
-//!   transport produces byte-identical encodings for identical content;
-//! * **source** — merged reads that fold a base snapshot with its delta
-//!   chain ([`CkptTransport::read_merged_master`] /
-//!   [`CkptTransport::read_merged_shard`]) plus the restart-target walk
-//!   ([`CkptTransport::restart_count`]).
+//! * [`crate::store::CheckpointStore`] — a checkpoint directory in the flat
+//!   or the content-addressed layout (crash/restart persistence);
+//! * [`MemTransport`] — an in-memory object map: the state hand-off behind
+//!   **live reshape** (no process exit, no disk round-trip) and disk-free
+//!   checkpointing;
+//! * `ppar_net::NetTransport` — a client of the root rank's durable medium,
+//!   reached over the fabric;
+//! * `ppar_net::MirrorTransport` — a record-level tee that keeps a rank's
+//!   last two shard generations in memory beside the network medium.
 //!
-//! Two implementations ship:
+//! Everything that interprets record bytes — the snapshot and delta
+//! encoders, delta-chain merging, the restart target, count-pinned reads,
+//! merged-record streaming — is written once above this seam, in
+//! [`crate::snapshot`]. So a snapshot handed off in memory matches the file
+//! a disk save of the same state produces byte for byte, except the CRC
+//! trailer: whether a medium stores a real trailer or the in-memory zero
+//! trailer is the medium's property ([`RawRecordSink::checksummed`]).
 //!
-//! * [`crate::store::CheckpointStore`] — the on-disk directory layout
-//!   (unchanged, golden-bytes tested): crash/restart persistence;
-//! * [`MemTransport`] — the same record bytes held in process memory: the
-//!   state hand-off behind **live reshape** (run-time adaptation with no
-//!   process exit and no disk round-trip) and a fast lane for benches.
+//! The contract every medium keeps:
 //!
-//! Because both sides of every transport share one encoder and one
-//! chain-merge implementation (the crate-internal `merge_chain_with` /
-//! `chain_tip_with` helpers), a snapshot handed off in memory matches the
-//! file a disk-backed save of the same state would have produced byte for
-//! byte, except the CRC trailer (zero in memory — integrity checking
-//! guards the durable medium) — the property test in this module pins
-//! that down.
+//! * a put streams into a [`RawRecordSink`]; commit is atomic, and an abort
+//!   or a dropped sink keeps the previous record under the key;
+//! * a read hands out one record's bytes — borrowed where the medium can
+//!   ([`MemTransport`] is zero-copy), bounded to a prefix for header peeks,
+//!   or streamed into a writer with a valid trailer
+//!   ([`CkptTransport::copy_record`], the checkpoint service's restore
+//!   path).
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use ppar_core::error::{PparError, Result};
-use ppar_core::runtime::{RegionCursor, PROGRESS_FIELD};
 
+use crate::cas::{ChunkRef, PutStats};
 use crate::crc::Crc32;
-use crate::delta::{DeltaMeta, DeltaSnapshot};
-use crate::store::{
-    DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotView, SnapshotWriter, MASTER_RANK,
-};
+use crate::delta::DeltaMeta;
+use crate::store::{Snapshot, SnapshotView};
 
-/// Which record a raw streamed install targets (see
-/// [`CkptTransport::begin_raw`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The key one record is stored under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RawRecordKind {
     /// The master (mode-independent) full snapshot.
     Master,
     /// One rank's shard full snapshot.
     Shard(u32),
+    /// The retained previous generation of one rank's shard (media that
+    /// rotate the committed generation aside on a shard save; see
+    /// [`CkptTransport::read_shard_at`]).
+    PrevShard(u32),
     /// Delta `seq` of the master chain.
     MasterDelta {
         /// 1-based chain position.
@@ -66,21 +69,77 @@ pub enum RawRecordKind {
     },
 }
 
-/// Incremental sink for one record arriving as *already-encoded* bytes
-/// (the streaming checkpoint service's install side). Chunks are the
-/// record's encoded bytes in order, trailing CRC included; the caller
-/// attests it has verified that CRC before calling
-/// [`RawRecordSink::commit`] — an aborted or dropped sink must leave the
-/// transport's previous record for the same key intact.
+impl RawRecordKind {
+    /// The base (full) record of a chain: the master (`None`) or rank `r`'s
+    /// shard.
+    pub fn base(rank: Option<u32>) -> RawRecordKind {
+        match rank {
+            None => RawRecordKind::Master,
+            Some(r) => RawRecordKind::Shard(r),
+        }
+    }
+
+    /// Delta `seq` of the chain over [`RawRecordKind::base`]`(rank)`.
+    pub fn delta(rank: Option<u32>, seq: u32) -> RawRecordKind {
+        match rank {
+            None => RawRecordKind::MasterDelta { seq },
+            Some(rank) => RawRecordKind::ShardDelta { rank, seq },
+        }
+    }
+}
+
+/// Which delta chains [`CkptTransport::remove_deltas`] deletes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chains {
+    /// The chain over one base: the master (`None`) or rank `r`'s shard
+    /// (promotion GC, after a new base is persisted).
+    Of(Option<u32>),
+    /// Every chain (fresh-run hygiene).
+    All,
+}
+
+impl Chains {
+    /// Is `key` a delta of one of these chains?
+    pub fn covers(self, key: RawRecordKind) -> bool {
+        match (self, key) {
+            (Chains::All, RawRecordKind::MasterDelta { .. } | RawRecordKind::ShardDelta { .. }) => {
+                true
+            }
+            (Chains::Of(None), RawRecordKind::MasterDelta { .. }) => true,
+            (Chains::Of(Some(r)), RawRecordKind::ShardDelta { rank, .. }) => r == rank,
+            _ => false,
+        }
+    }
+}
+
+/// [`CkptTransport::read_record`]'s bound for reading the whole record.
+pub const WHOLE_RECORD: usize = usize::MAX;
+
+/// What a medium hands one record's bytes to. The flag is `true` when the
+/// bytes are already integrity-checked (in-process memory, or a stream whose
+/// CRC was verified on arrival); otherwise the reader verifies the trailing
+/// CRC.
+pub type RecordVisitor<'v> = dyn FnMut(&[u8], bool) -> Result<()> + 'v;
+
+/// Incremental sink for one record arriving as *already-encoded* bytes.
+/// Chunks are the record's encoded bytes in order, trailing CRC included.
+/// An aborted or dropped sink must leave the medium's previous record for
+/// the same key intact.
 pub trait RawRecordSink: Send {
     /// Append the next chunk of encoded record bytes.
     fn write_chunk(&mut self, chunk: &[u8]) -> Result<()>;
-    /// Record complete and integrity-verified: install it atomically.
-    /// Returns total record bytes.
+    /// Record complete (and, on the service path, integrity-verified):
+    /// install it atomically. Returns total record bytes.
     fn commit(self: Box<Self>) -> Result<u64>;
-    /// Discard the partial record (stream error or CRC mismatch); the
-    /// previously installed record, if any, stays.
+    /// Discard the partial record (encode error, stream error or CRC
+    /// mismatch); the previously installed record, if any, stays.
     fn abort(self: Box<Self>);
+    /// Does the medium keep the record's real CRC trailer? In-process
+    /// memory does not (the trailer is zero and the encoder skips the CRC
+    /// pass); every durable or remote medium does.
+    fn checksummed(&self) -> bool {
+        true
+    }
 }
 
 /// Chunk-dedup install handshake for one record whose chunk references
@@ -104,520 +163,134 @@ pub trait DedupRecordSink: Send {
     fn abort(self: Box<Self>);
 }
 
-/// A checkpoint byte transport: streaming snapshot/delta sink plus merged
-/// snapshot source. See the [module docs](self) for the contract binding
-/// all implementations (shared golden encoder, shared chain rules).
+/// A checkpoint medium: opaque records under [`RawRecordKind`] keys. See
+/// the [module docs](self) for the contract; [`crate::snapshot::SnapshotIo`]
+/// gives every medium its snapshot and delta operations.
 pub trait CkptTransport: Send + Sync {
     /// Short human-readable tag for reports (`"file"`, `"memory"`).
     fn describe(&self) -> &'static str;
 
-    /// Stream a master (mode-independent) full snapshot; returns bytes
-    /// written. `scratch` buffers length-unknown cells and is reused across
-    /// calls.
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
+    /// Begin writing the record under `key`. `len_hint` is the expected
+    /// record size (0 when unknown) — a pre-sizing hint only, never trusted
+    /// as a bound. Nothing is visible under `key` until the sink commits.
+    fn begin_put<'a>(
+        &'a self,
+        key: RawRecordKind,
+        len_hint: u64,
+    ) -> Result<Box<dyn RawRecordSink + 'a>>;
 
-    /// Stream one element's shard full snapshot; returns bytes written.
-    fn put_shard(
+    /// Hand the record under `key` — its first `max` bytes, or all of it
+    /// with [`WHOLE_RECORD`] — to `visit`. Returns `Ok(false)` when no
+    /// record exists. A bounded read is a header peek: it never loads the
+    /// payload.
+    fn read_record(
         &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
+        key: RawRecordKind,
+        max: usize,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<bool>;
 
-    /// Stream a master delta record; returns bytes written.
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
-
-    /// Stream one element's shard delta record; returns bytes written.
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
-
-    /// Load the master snapshot with its delta chain folded in (per field
-    /// byte-identical to a full snapshot of the same state).
-    fn read_merged_master(&self) -> Result<Option<Snapshot>>;
-
-    /// Run `install` over the merged master snapshot, zero-copy where the
-    /// transport can serve borrowed payload bytes (the in-memory transport
-    /// with no delta chain pending — the live-reshape resume fast path).
-    /// Returns `Ok(false)` when no master snapshot exists; the default
-    /// materializes through [`CkptTransport::read_merged_master`].
-    fn with_merged_master(
-        &self,
-        install: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-    ) -> Result<bool> {
-        match self.read_merged_master()? {
-            Some(snap) => {
-                install(&SnapshotView::of(&snap))?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+    /// Stream the record under `key` into `out` with a valid CRC trailer;
+    /// returns the bytes written, `Ok(None)` when absent. The default
+    /// copies the whole-record read verbatim — right for media that keep
+    /// the real trailer.
+    fn copy_record(&self, key: RawRecordKind, out: &mut dyn Write) -> Result<Option<u64>> {
+        let mut written = 0;
+        let found = self.read_record(key, WHOLE_RECORD, &mut |bytes, _| {
+            out.write_all(bytes)?;
+            written = bytes.len() as u64;
+            Ok(())
+        })?;
+        Ok(found.then_some(written))
     }
 
-    /// Load rank `rank`'s shard with its delta chain folded in.
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>>;
+    /// Delete every delta of `chains`.
+    fn remove_deltas(&self, chains: Chains) -> Result<()>;
+
+    /// Advance the group-commit point to safe point `count`: every shard of
+    /// the group is durable at `count` (the engine's post-save barrier has
+    /// completed). The default is a no-op: media that keep no commit point
+    /// commit atomically on every put.
+    fn commit_group(&self, _count: u64) -> Result<()> {
+        Ok(())
+    }
+
+    /// The group-commit point, when the medium keeps one (`None` before
+    /// the first commit, and always for media that keep none).
+    fn committed_count(&self) -> Result<Option<u64>> {
+        Ok(None)
+    }
 
     /// Load rank `rank`'s shard *at exactly* safe-point `count`. Restores
     /// pass the replay target here so a torn group checkpoint (one rank
     /// died mid-save, its peers already committed a newer generation) is
     /// detected instead of silently installing inconsistent state. The
-    /// default serves the merged chain tip and errors on a count mismatch;
-    /// transports that retain a previous shard generation override it to
-    /// fall back to the older record.
+    /// default merges the current generation up to `count` and falls back
+    /// to the retained previous generation, erroring when neither lands on
+    /// `count`; media that can serve it more cheaply (one network round
+    /// trip, a local mirror) override it.
     fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        match self.read_merged_shard(rank)? {
-            None => Ok(None),
-            Some(snap) if snap.count == count => Ok(Some(snap)),
-            Some(snap) => Err(PparError::CorruptCheckpoint(format!(
-                "shard {rank} holds safe point {} but the restore targets {count} \
-                 (torn group checkpoint and no older generation retained)",
-                snap.count
-            ))),
-        }
+        crate::snapshot::shard_at(self, rank, count)
     }
 
-    /// The safe-point count a restart/resume should replay to (chain tips
-    /// count); `None` when no usable snapshot exists.
-    fn restart_count(&self) -> Result<Option<u64>>;
-
-    /// Advance the group-commit point to safe point `count`: every shard of
-    /// the group is durable at `count` (the engine's post-save barrier has
-    /// completed). Transports whose [`CkptTransport::restart_count`] honours
-    /// a commit point override this; the default is a no-op (single-writer
-    /// transports commit atomically on every put).
-    fn commit_group(&self, _count: u64) -> Result<()> {
-        Ok(())
-    }
-
-    /// Delete every delta of one chain (base-promotion GC).
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()>;
-
-    /// Delete every delta of every chain (fresh-run hygiene).
-    fn clear_all_deltas(&self) -> Result<()>;
-
-    /// Begin a raw streamed install of one already-encoded record: the
-    /// checkpoint service feeds wire chunks straight into the returned
-    /// sink while they arrive, so a GB-scale record is never buffered
-    /// whole in the service. `len_hint` is the sender's announced record
-    /// size (0 when unknown) — a pre-sizing hint only, never trusted as a
-    /// bound. The default buffers the record and installs it through the
-    /// ordinary `put_*` path; transports with a natural incremental
-    /// medium (disk files, memory buffers) override it to spill chunks
-    /// directly.
-    fn begin_raw<'a>(
-        &'a self,
-        kind: RawRecordKind,
-        len_hint: u64,
-    ) -> Result<Box<dyn RawRecordSink + 'a>> {
-        Ok(Box::new(BufferedRawSink {
-            transport: self,
-            kind,
-            buf: Vec::with_capacity(clamp_record_hint(len_hint)),
-        }))
-    }
-
-    /// Stream the merged (base + delta chain) record for `rank` (`None` =
-    /// master) into `out` as one *checksummed* full-snapshot encoding —
-    /// the restore direction of the streaming checkpoint service. Returns
-    /// the bytes written, or `Ok(None)` when the chain has no base
-    /// record. The default materializes the merge and re-encodes;
-    /// transports that already hold checksummed or contiguous record
-    /// bytes override it with a copy-through fast path.
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        write_merged_fallback(self, rank, out)
-    }
-
-    /// Stream the merged record for `rank` at exactly safe point `count`
-    /// into `out` (the count-pinned restore direction — see
-    /// [`CkptTransport::read_shard_at`]). The default re-encodes the
-    /// materialized count-pinned shard; the master side has no torn-group
-    /// problem (single atomic writer) and delegates to
-    /// [`CkptTransport::write_merged_record`].
-    fn write_merged_record_at(
-        &self,
-        rank: Option<u32>,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        let Some(rank) = rank else {
-            return self.write_merged_record(None, out);
-        };
-        let Some(snap) = self.read_shard_at(rank, count)? else {
-            return Ok(None);
-        };
-        write_snapshot_record(&snap, out).map(Some)
-    }
-
-    /// Decode the `PPARPRG1` progress cursor carried by the newest usable
-    /// snapshot (the reserved [`PROGRESS_FIELD`] extra field), checking the
-    /// master record first and falling back to shard 0 (local-snapshot
-    /// groups carry identical cursors on every shard — the safe-point
-    /// clock is aggregate-symmetric). Snapshots written before the cursor
-    /// existed — or with it disabled — have no such field and yield
-    /// `Ok(None)`: the consumer replays classically (progress = start). A
-    /// cursor that fails to decode degrades the same way; it must never
-    /// fail a restore.
-    fn read_progress(&self) -> Result<Option<RegionCursor>> {
-        let mut bytes: Option<Vec<u8>> = None;
-        let found = self.with_merged_master(&mut |snap| {
-            bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-            Ok(())
-        })?;
-        if !found {
-            if let Some(snap) = self.read_merged_shard(0)? {
-                bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-            }
-        }
-        Ok(bytes.and_then(|b| RegionCursor::decode(&b).ok()))
-    }
-
-    /// Drain the chunk-dedup counters accumulated by this transport's
-    /// write paths since the last drain. Zero for transports without a
-    /// content-addressed medium; the checkpoint module folds the result
+    /// Drain the chunk-dedup counters accumulated by this medium's write
+    /// paths since the last drain. Zero for media without a
+    /// content-addressed store; the checkpoint module folds the result
     /// into [`crate::CkptStats`] after every save.
-    fn take_put_stats(&self) -> crate::cas::PutStats {
-        crate::cas::PutStats::default()
+    fn take_put_stats(&self) -> PutStats {
+        PutStats::default()
     }
 
     /// Begin a chunk-dedup install of one already-encoded record from its
-    /// announced chunk references (`chunks`, summing to `total_len`
-    /// record bytes). Returns `Ok(None)` when the transport has no
-    /// content-addressed store — callers fall back to
-    /// [`CkptTransport::begin_raw`] and ship the whole record. The
-    /// returned sink reports which chunks it lacks, so a wire caller
-    /// ships only novel bytes.
+    /// announced chunk references (`chunks`, summing to `total_len` record
+    /// bytes). Returns `Ok(None)` when the medium has no content-addressed
+    /// store — callers fall back to [`CkptTransport::begin_put`] and ship
+    /// the whole record. The returned sink reports which chunks it lacks,
+    /// so a wire caller ships only novel bytes.
     fn begin_raw_dedup<'a>(
         &'a self,
-        _kind: RawRecordKind,
-        _chunks: &[crate::cas::ChunkRef],
+        _key: RawRecordKind,
+        _chunks: &[ChunkRef],
         _total_len: u64,
     ) -> Result<Option<Box<dyn DedupRecordSink + 'a>>> {
         Ok(None)
     }
 }
 
-/// Stream one materialized snapshot through the golden checksummed encoder
-/// (shared by the count-pinned restore fallbacks).
-pub(crate) fn write_snapshot_record(snap: &Snapshot, out: &mut dyn Write) -> Result<u64> {
-    let fields: Vec<(&str, FieldSource<'_>)> = snap
-        .fields
-        .iter()
-        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-        .collect();
-    let mut w = SnapshotWriter::new(out, &snap.meta(), fields.len() as u32)?;
-    let mut scratch = Vec::new();
-    for (name, source) in &fields {
-        w.field(name, source, &mut scratch)?;
-    }
-    let (written, _) = w.finish()?;
-    Ok(written)
-}
-
 /// Cap a sender-supplied record-size hint before using it as an
 /// allocation size (a hint is advisory; a bogus huge one must not OOM the
 /// service).
-pub(crate) fn clamp_record_hint(len_hint: u64) -> usize {
+pub fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
-/// The default [`CkptTransport::write_merged_record`]: materialize the
-/// merged snapshot, then stream it through the golden encoder with the
-/// checksum pass on (shared by overriding transports' slow paths).
-pub(crate) fn write_merged_fallback(
-    transport: &(impl CkptTransport + ?Sized),
-    rank: Option<u32>,
-    out: &mut dyn Write,
-) -> Result<Option<u64>> {
-    let snap = match rank {
-        None => transport.read_merged_master()?,
-        Some(r) => transport.read_merged_shard(r)?,
-    };
-    let Some(snap) = snap else {
-        return Ok(None);
-    };
-    let fields: Vec<(&str, FieldSource<'_>)> = snap
-        .fields
-        .iter()
-        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-        .collect();
-    let mut w = SnapshotWriter::new(out, &snap.meta(), fields.len() as u32)?;
-    let mut scratch = Vec::new();
-    for (name, source) in &fields {
-        w.field(name, source, &mut scratch)?;
-    }
-    let (written, _) = w.finish()?;
-    Ok(Some(written))
-}
-
-/// The default raw sink: buffer the record, then install it through the
-/// transport's ordinary `put_*` methods (one decode + re-encode — the
-/// price of a transport with no incremental medium).
-struct BufferedRawSink<'a, T: ?Sized + CkptTransport> {
-    transport: &'a T,
-    kind: RawRecordKind,
-    buf: Vec<u8>,
-}
-
-impl<T: ?Sized + CkptTransport> RawRecordSink for BufferedRawSink<'_, T> {
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.buf.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    fn commit(self: Box<Self>) -> Result<u64> {
-        install_record_bytes(self.transport, self.kind, &self.buf)
-    }
-
-    fn abort(self: Box<Self>) {}
-}
-
-/// Install one verified, fully-buffered record through the `put_*` path.
-fn install_record_bytes(
-    transport: &(impl CkptTransport + ?Sized),
-    kind: RawRecordKind,
-    bytes: &[u8],
-) -> Result<u64> {
-    let mut scratch = Vec::new();
-    match kind {
-        RawRecordKind::Master | RawRecordKind::Shard(_) => {
-            let snap = Snapshot::decode_trusted(bytes)?;
-            let fields: Vec<(&str, FieldSource<'_>)> = snap
-                .fields
-                .iter()
-                .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-                .collect();
-            match kind {
-                RawRecordKind::Master => {
-                    if snap.rank.is_some() {
-                        return Err(PparError::CorruptCheckpoint(format!(
-                            "master install received a rank {:?} record",
-                            snap.rank
-                        )));
-                    }
-                    transport.put_master(&snap.meta(), &fields, &mut scratch)
-                }
-                RawRecordKind::Shard(rank) => {
-                    if snap.rank != Some(rank) {
-                        return Err(PparError::CorruptCheckpoint(format!(
-                            "shard {rank} install received a rank {:?} record",
-                            snap.rank
-                        )));
-                    }
-                    transport.put_shard(&snap.meta(), &fields, &mut scratch)
-                }
-                _ => unreachable!(),
-            }
-        }
-        RawRecordKind::MasterDelta { seq } | RawRecordKind::ShardDelta { seq, .. } => {
-            let delta = DeltaSnapshot::decode_trusted(bytes)?;
-            let expect_rank = match kind {
-                RawRecordKind::MasterDelta { .. } => None,
-                RawRecordKind::ShardDelta { rank, .. } => Some(rank),
-                _ => unreachable!(),
-            };
-            if delta.meta.rank != expect_rank || delta.meta.seq != seq {
-                return Err(PparError::CorruptCheckpoint(format!(
-                    "delta install for rank {expect_rank:?} seq {seq} received a \
-                     rank {:?} seq {} record",
-                    delta.meta.rank, delta.meta.seq
-                )));
-            }
-            // Sparse payloads arrive as (offset, bytes) patches; the
-            // delta encoder wants ranges + one concatenated payload.
-            struct SparseBuf {
-                full_len: u64,
-                ranges: Vec<std::ops::Range<usize>>,
-                payload: Vec<u8>,
-            }
-            let sparse: Vec<Option<SparseBuf>> = delta
-                .fields
-                .iter()
-                .map(|(_, payload)| match payload {
-                    crate::delta::DeltaPayload::Full(_) => None,
-                    crate::delta::DeltaPayload::Sparse { full_len, ranges } => {
-                        let mut flat = SparseBuf {
-                            full_len: *full_len,
-                            ranges: Vec::with_capacity(ranges.len()),
-                            payload: Vec::with_capacity(ranges.iter().map(|(_, b)| b.len()).sum()),
-                        };
-                        for (off, bytes) in ranges {
-                            flat.ranges.push(*off as usize..*off as usize + bytes.len());
-                            flat.payload.extend_from_slice(bytes);
-                        }
-                        Some(flat)
-                    }
-                })
-                .collect();
-            let fields: Vec<(&str, DeltaSource<'_>)> = delta
-                .fields
-                .iter()
-                .zip(&sparse)
-                .map(|((name, payload), flat)| {
-                    let source = match (payload, flat) {
-                        (crate::delta::DeltaPayload::Full(b), _) => {
-                            DeltaSource::Full(FieldSource::Bytes(b))
-                        }
-                        (_, Some(flat)) => DeltaSource::DirtyBytes {
-                            full_len: flat.full_len,
-                            ranges: &flat.ranges,
-                            payload: &flat.payload,
-                        },
-                        _ => unreachable!(),
-                    };
-                    (name.as_str(), source)
-                })
-                .collect();
-            match expect_rank {
-                None => transport.put_master_delta(&delta.meta, &fields, &mut scratch),
-                Some(_) => transport.put_shard_delta(&delta.meta, &fields, &mut scratch),
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// shared chain rules
+// in-memory medium
 // ---------------------------------------------------------------------------
 
-/// The single source of truth for delta-chain step validity, shared by every
-/// transport's header-only walk ([`chain_tip_with`]) and full merge
-/// ([`merge_chain_with`]), so the restart target and the restored state can
-/// never disagree on chain rules. Returns `Ok(false)` for a *stale* delta
-/// (previous base generation — terminates the walk harmlessly); errors on
-/// ordering violations.
-pub(crate) fn chain_step_is_live(
-    meta: &DeltaMeta,
-    base_count: u64,
-    expected_seq: u32,
-    prev_count: u64,
-) -> Result<bool> {
-    if meta.base_count != base_count {
-        return Ok(false);
-    }
-    if meta.seq != expected_seq {
-        return Err(PparError::CorruptCheckpoint(format!(
-            "delta file {expected_seq} carries sequence number {}",
-            meta.seq
-        )));
-    }
-    if meta.count <= prev_count {
-        return Err(PparError::CorruptCheckpoint(format!(
-            "delta {expected_seq} count {} does not advance past {prev_count}",
-            meta.count
-        )));
-    }
-    Ok(true)
-}
-
-/// Fold a delta chain onto `snap` (the base full snapshot), reading deltas
-/// through `read_delta`. The chain is walked from seq 1 until the first
-/// missing record; stale deltas terminate the walk harmlessly.
-pub(crate) fn merge_chain_with(
-    mut snap: Snapshot,
-    read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
-) -> Result<Snapshot> {
-    let base_count = snap.count;
-    let mut seq = 1u32;
-    while let Some(delta) = read_delta(snap.rank, seq)? {
-        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)? {
-            break;
-        }
-        delta.apply_to(&mut snap)?;
-        seq += 1;
-    }
-    Ok(snap)
-}
-
-/// Fold a delta chain onto `snap`, stopping *before* any delta that would
-/// advance the merged state past safe point `target` (the count-pinned
-/// restore: a torn chain whose tip outruns the group commit serves the
-/// committed prefix instead). Terminates like [`merge_chain_with`] on the
-/// first missing or stale record.
-pub(crate) fn merge_chain_to(
-    mut snap: Snapshot,
-    target: u64,
-    read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
-) -> Result<Snapshot> {
-    let base_count = snap.count;
-    let mut seq = 1u32;
-    while snap.count < target {
-        let Some(delta) = read_delta(snap.rank, seq)? else {
-            break;
-        };
-        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)?
-            || delta.meta.count > target
-        {
-            break;
-        }
-        delta.apply_to(&mut snap)?;
-        seq += 1;
-    }
-    Ok(snap)
-}
-
-/// The safe-point count at the tip of a base's delta chain, walking delta
-/// *headers* only through `read_meta` (no payload is materialized).
-pub(crate) fn chain_tip_with(
-    base_count: u64,
-    rank: Option<u32>,
-    read_meta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaMeta>>,
-) -> Result<u64> {
-    let mut count = base_count;
-    let mut seq = 1u32;
-    while let Some(meta) = read_meta(rank, seq)? {
-        if !chain_step_is_live(&meta, base_count, seq, count)? {
-            break;
-        }
-        count = meta.count;
-        seq += 1;
-    }
-    Ok(count)
-}
-
-// ---------------------------------------------------------------------------
-// in-memory transport
-// ---------------------------------------------------------------------------
-
-/// An in-memory checkpoint transport: the same snapshot/delta record bytes a
-/// [`crate::store::CheckpointStore`] would put on disk, held in process
-/// memory instead.
+/// An in-memory checkpoint medium: the record bytes a
+/// [`crate::store::CheckpointStore`] would put on disk, held in a process
+/// memory object map instead.
 ///
 /// This is the hand-off vehicle for **live reshape**: at a safe-point
 /// crossing the engine streams a mode-independent master snapshot into a
 /// `MemTransport`, the run retargets (new team shape, new aggregate shape,
 /// even a different engine family), and the successor installs the state
 /// straight from memory — no process exit, no disk round-trip. It also
-/// serves delta-record hand-offs (rank-level dirty-range gathers) and
-/// disk-free checkpointing for benches.
+/// serves disk-free checkpointing for benches.
 ///
-/// Record bytes are byte-identical to the file-backed store's output for
-/// the same content (shared [`SnapshotWriter`] encoder; property-tested),
-/// so state can cross transports freely.
+/// Records are stored unchecksummed (zero CRC trailer — integrity checking
+/// guards durable media, not a buffer handed across a reshape within one
+/// address space) and read back zero-copy. Puts build the new record in a
+/// recycled buffer and swap it in at commit, so a failed save keeps the
+/// previous record.
 #[derive(Default)]
 pub struct MemTransport {
-    master: Mutex<Option<Vec<u8>>>,
-    shards: Mutex<HashMap<u32, Vec<u8>>>,
-    /// Delta records keyed by `(rank-or-MASTER_RANK, seq)`.
-    deltas: Mutex<HashMap<(u32, u32), Vec<u8>>>,
-    /// Retired record buffers recycled into raw-install sinks: repeated
-    /// streamed installs then run at warm-page copy speed instead of
-    /// faulting a fresh multi-MiB mapping in per checkpoint.
+    records: Mutex<HashMap<RawRecordKind, Vec<u8>>>,
+    /// Retired record buffers recycled into new puts: repeated saves then
+    /// run at warm-page copy speed instead of faulting a fresh multi-MiB
+    /// mapping in per checkpoint.
     spare: Mutex<Vec<Vec<u8>>>,
-    snapshots: AtomicU64,
-    bytes_written: AtomicU64,
 }
 
 /// Buffers kept in the recycle pool (beyond this, retired buffers are
@@ -637,123 +310,23 @@ impl MemTransport {
         MemTransport::default()
     }
 
-    /// Records written so far (full + delta, master + shards).
-    pub fn snapshots_stored(&self) -> u64 {
-        self.snapshots.load(Ordering::Relaxed)
-    }
-
-    /// Total record bytes streamed into this transport so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Encoded length of the currently held master snapshot, if any.
-    pub fn master_len(&self) -> Option<usize> {
-        self.master.lock().as_ref().map(|b| b.len())
-    }
-
     /// Raw encoded bytes of the currently held master snapshot, if any
     /// (byte-equality assertions against the file-backed store).
     pub fn master_bytes(&self) -> Option<Vec<u8>> {
-        self.master.lock().clone()
+        self.record_bytes(RawRecordKind::Master)
     }
 
     /// Raw encoded bytes of any held record (byte-equality assertions in
     /// tests and benches — e.g. streamed installs against local puts).
     pub fn record_bytes(&self, kind: RawRecordKind) -> Option<Vec<u8>> {
-        match kind {
-            RawRecordKind::Master => self.master.lock().clone(),
-            RawRecordKind::Shard(rank) => self.shards.lock().get(&rank).cloned(),
-            RawRecordKind::MasterDelta { seq } => {
-                self.deltas.lock().get(&(MASTER_RANK, seq)).cloned()
-            }
-            RawRecordKind::ShardDelta { rank, seq } => {
-                self.deltas.lock().get(&(rank, seq)).cloned()
-            }
-        }
+        self.records.lock().get(&kind).cloned()
     }
 
-    /// Drop every held record (counters are kept).
+    /// Drop every held record; their buffers go back to the recycle pool.
     pub fn clear(&self) {
-        *self.master.lock() = None;
-        self.shards.lock().clear();
-        self.deltas.lock().clear();
-    }
-
-    fn delta_key(rank: Option<u32>, seq: u32) -> (u32, u32) {
-        (rank.unwrap_or(MASTER_RANK), seq)
-    }
-
-    /// Pre-size the record buffer from the fields' known lengths (growth
-    /// reallocs on a multi-MiB hand-off would copy the payload several
-    /// extra times).
-    fn reserve_hint(fields: &[(&str, FieldSource<'_>)]) -> usize {
-        let payload: usize = fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    FieldSource::Bytes(b) => b.len(),
-                    FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
-                };
-                name.len() + 16 + body
-            })
-            .sum();
-        payload + 128
-    }
-
-    /// Encode one full record into `buf` (cleared and grown to the fields'
-    /// known lengths first — callers pass a recycled buffer so repeated
-    /// hand-offs run copy-speed with no fresh multi-MiB mapping to fault
-    /// in).
-    fn encode_full(
-        &self,
-        mut buf: Vec<u8>,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(u64, Vec<u8>)> {
-        buf.clear();
-        buf.reserve(MemTransport::reserve_hint(fields));
-        // Unchecksummed: the record never leaves this process, so the CRC
-        // pass that guards disk files is skipped (the trailer is zero; the
-        // trusted decode ignores it).
-        let mut w = SnapshotWriter::new_unchecksummed(buf, meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.field(name, source, scratch)?;
-        }
-        let (written, buf) = w.finish()?;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok((written, buf))
-    }
-
-    fn encode_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(u64, Vec<u8>)> {
-        let mut w = SnapshotWriter::new_delta_unchecksummed(Vec::new(), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.delta_field(name, source, scratch)?;
-        }
-        let (written, buf) = w.finish()?;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok((written, buf))
-    }
-
-    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        match self.deltas.lock().get(&MemTransport::delta_key(rank, seq)) {
-            Some(bytes) => DeltaSnapshot::decode_trusted(bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn read_delta_meta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaMeta>> {
-        match self.deltas.lock().get(&MemTransport::delta_key(rank, seq)) {
-            Some(bytes) => DeltaMeta::decode_trusted(bytes).map(Some),
-            None => Ok(None),
+        let old: Vec<Vec<u8>> = self.records.lock().drain().map(|(_, b)| b).collect();
+        for buf in old {
+            self.recycle(buf);
         }
     }
 
@@ -771,25 +344,10 @@ impl MemTransport {
             pool.push(buf);
         }
     }
-
-    /// Stream `bytes` (a zero-trailer in-memory record) into `out` as a
-    /// checksummed record: body copied through in cache-sized blocks with
-    /// the CRC folded in on the same pass, real trailer appended.
-    fn stream_record_checksummed(bytes: &[u8], out: &mut dyn Write) -> Result<u64> {
-        let body = &bytes[..bytes.len() - 4];
-        let mut crc = Crc32::new();
-        for block in body.chunks(256 << 10) {
-            crc.update(block);
-            out.write_all(block)?;
-        }
-        out.write_all(&crc.finish().to_le_bytes())?;
-        Ok(bytes.len() as u64)
-    }
 }
 
-/// Raw streamed install into process memory: chunks append to a recycled
-/// buffer; commit zeroes the CRC trailer (the in-memory convention — the
-/// wire CRC was already verified by the caller, and in-process reads are
+/// A put into process memory: chunks append to a recycled buffer; commit
+/// zeroes the CRC trailer (the in-memory convention — in-process reads are
 /// trusted) and swaps the record in atomically.
 struct MemRawSink<'a> {
     mem: &'a MemTransport,
@@ -805,71 +363,46 @@ impl RawRecordSink for MemRawSink<'_> {
 
     fn commit(mut self: Box<Self>) -> Result<u64> {
         let mut buf = std::mem::take(&mut self.buf);
-        if buf.len() < 12 {
-            return Err(PparError::CorruptCheckpoint(
-                "streamed record too short".into(),
-            ));
-        }
         // Structural sanity before the swap: a wrong-kind record must not
-        // displace a good one (its CRC was valid, but the protocol layer
-        // may have routed it to the wrong key).
-        match self.kind {
-            RawRecordKind::Master | RawRecordKind::Shard(_) => {
-                let view = SnapshotView::decode_trusted(&buf)?;
-                let expect = match self.kind {
-                    RawRecordKind::Master => None,
-                    RawRecordKind::Shard(r) => Some(r),
-                    _ => unreachable!(),
-                };
-                if view.rank != expect {
-                    return Err(PparError::CorruptCheckpoint(format!(
-                        "install for rank {expect:?} received a rank {:?} record",
-                        view.rank
-                    )));
-                }
+        // displace a good one (the checkpoint service may have routed a
+        // CRC-valid record to the wrong key).
+        let (rank, seq) = match self.kind {
+            RawRecordKind::Master => (None, None),
+            RawRecordKind::Shard(r) | RawRecordKind::PrevShard(r) => (Some(r), None),
+            RawRecordKind::MasterDelta { seq } => (None, Some(seq)),
+            RawRecordKind::ShardDelta { rank, seq } => (Some(rank), Some(seq)),
+        };
+        let found = match seq {
+            None => (SnapshotView::decode_trusted(&buf)?.rank, None),
+            Some(_) => {
+                let meta = DeltaMeta::decode_head(&buf)?;
+                (meta.rank, Some(meta.seq))
             }
-            RawRecordKind::MasterDelta { seq } | RawRecordKind::ShardDelta { seq, .. } => {
-                let meta = DeltaMeta::decode_trusted(&buf)?;
-                let expect = match self.kind {
-                    RawRecordKind::MasterDelta { .. } => None,
-                    RawRecordKind::ShardDelta { rank, .. } => Some(rank),
-                    _ => unreachable!(),
-                };
-                if meta.rank != expect || meta.seq != seq {
-                    return Err(PparError::CorruptCheckpoint(format!(
-                        "delta install for rank {expect:?} seq {seq} received a \
-                         rank {:?} seq {} record",
-                        meta.rank, meta.seq
-                    )));
-                }
-            }
+        };
+        if found != (rank, seq) {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "install for {:?} received a rank {:?} seq {:?} record",
+                self.kind, found.0, found.1
+            )));
         }
-        let written = buf.len() as u64;
         let n = buf.len();
         buf[n - 4..].fill(0);
-        let replaced = match self.kind {
-            RawRecordKind::Master => self.mem.master.lock().replace(buf),
-            RawRecordKind::Shard(rank) => self.mem.shards.lock().insert(rank, buf),
-            RawRecordKind::MasterDelta { seq } => self
-                .mem
-                .deltas
-                .lock()
-                .insert(MemTransport::delta_key(None, seq), buf),
-            RawRecordKind::ShardDelta { rank, seq } => self
-                .mem
-                .deltas
-                .lock()
-                .insert(MemTransport::delta_key(Some(rank), seq), buf),
-        };
-        if let Some(old) = replaced {
+        if let Some(old) = self.mem.records.lock().insert(self.kind, buf) {
             self.mem.recycle(old);
         }
-        self.mem.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.mem.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok(written)
+        Ok(n as u64)
     }
 
-    fn abort(mut self: Box<Self>) {
+    fn abort(self: Box<Self>) {}
+
+    fn checksummed(&self) -> bool {
+        false
+    }
+}
+
+impl Drop for MemRawSink<'_> {
+    fn drop(&mut self) {
+        // Abort or failed commit: the partial buffer goes back to the pool.
         self.mem.recycle(std::mem::take(&mut self.buf));
     }
 }
@@ -879,205 +412,64 @@ impl CkptTransport for MemTransport {
         "memory"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master snapshot must have rank None");
-        // Recycle the previous master record's allocation.
-        let recycled = self.master.lock().take().unwrap_or_default();
-        let (written, buf) = self.encode_full(recycled, meta, fields, scratch)?;
-        *self.master.lock() = Some(buf);
-        Ok(written)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard snapshot needs a rank".into()))?;
-        let recycled = self.shards.lock().remove(&rank).unwrap_or_default();
-        let (written, buf) = self.encode_full(recycled, meta, fields, scratch)?;
-        self.shards.lock().insert(rank, buf);
-        Ok(written)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master delta must have rank None");
-        let (written, buf) = self.encode_delta(meta, fields, scratch)?;
-        self.deltas
-            .lock()
-            .insert(MemTransport::delta_key(None, meta.seq), buf);
-        Ok(written)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard delta needs a rank".into()))?;
-        let (written, buf) = self.encode_delta(meta, fields, scratch)?;
-        self.deltas
-            .lock()
-            .insert(MemTransport::delta_key(Some(rank), meta.seq), buf);
-        Ok(written)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        // Trusted decode: the bytes never left this process, so the CRC
-        // pass that guards disk files is skipped (part of the live
-        // reshape's "no disk round-trip" latency win).
-        let base = match &*self.master.lock() {
-            Some(bytes) => Snapshot::decode_trusted(bytes)?,
-            None => return Ok(None),
-        };
-        merge_chain_with(base, |rank, seq| self.read_delta(rank, seq)).map(Some)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        let base = match self.shards.lock().get(&rank) {
-            Some(bytes) => Snapshot::decode_trusted(bytes)?,
-            None => return Ok(None),
-        };
-        merge_chain_with(base, |rank, seq| self.read_delta(rank, seq)).map(Some)
-    }
-
-    fn with_merged_master(
-        &self,
-        install: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-    ) -> Result<bool> {
-        // Fast path: no delta chain over the master record — hand the
-        // caller borrowed payload slices straight out of the record (one
-        // copy total: record → cells). With a chain pending, fall back to
-        // the owned merge.
-        let has_master_deltas = self
-            .deltas
-            .lock()
-            .keys()
-            .any(|(rank, _)| *rank == MASTER_RANK);
-        if !has_master_deltas {
-            let guard = self.master.lock();
-            let Some(bytes) = guard.as_ref() else {
-                return Ok(false);
-            };
-            install(&SnapshotView::decode_trusted(bytes)?)?;
-            return Ok(true);
-        }
-        match self.read_merged_master()? {
-            Some(snap) => {
-                install(&SnapshotView::of(&snap))?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn restart_count(&self) -> Result<Option<u64>> {
-        // View decodes only: the count lives in the header, and this runs
-        // once per rank when a resume is armed — materializing payload
-        // copies here would tax the latency-critical hand-off path.
-        let master_count = self
-            .master
-            .lock()
-            .as_ref()
-            .map(|b| SnapshotView::decode_trusted(b).map(|s| s.count))
-            .transpose()?;
-        if let Some(count) = master_count {
-            return Ok(Some(chain_tip_with(count, None, |rank, seq| {
-                self.read_delta_meta(rank, seq)
-            })?));
-        }
-        let shard0_count = self
-            .shards
-            .lock()
-            .get(&0)
-            .map(|b| SnapshotView::decode_trusted(b).map(|s| s.count))
-            .transpose()?;
-        if let Some(count) = shard0_count {
-            return Ok(Some(chain_tip_with(count, Some(0), |rank, seq| {
-                self.read_delta_meta(rank, seq)
-            })?));
-        }
-        Ok(None)
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let tag = rank.unwrap_or(MASTER_RANK);
-        self.deltas.lock().retain(|(r, _), _| *r != tag);
-        Ok(())
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.deltas.lock().clear();
-        Ok(())
-    }
-
-    fn begin_raw<'a>(
+    fn begin_put<'a>(
         &'a self,
-        kind: RawRecordKind,
+        key: RawRecordKind,
         len_hint: u64,
     ) -> Result<Box<dyn RawRecordSink + 'a>> {
         let mut buf = self.spare.lock().pop().unwrap_or_default();
         buf.reserve(clamp_record_hint(len_hint));
         Ok(Box::new(MemRawSink {
             mem: self,
-            kind,
+            kind: key,
             buf,
         }))
     }
 
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        // Fast path: no delta chain pending over this base — stream the
-        // held record bytes straight out, computing the wire CRC on the
-        // same pass (the stored trailer is zero by convention). With a
-        // chain, fall back to the materialized merge.
-        let chain_tag = rank.unwrap_or(MASTER_RANK);
-        let has_deltas = self.deltas.lock().keys().any(|(r, _)| *r == chain_tag);
-        if !has_deltas {
-            match rank {
-                None => {
-                    let guard = self.master.lock();
-                    let Some(bytes) = guard.as_ref() else {
-                        return Ok(None);
-                    };
-                    return MemTransport::stream_record_checksummed(bytes, out).map(Some);
-                }
-                Some(r) => {
-                    let guard = self.shards.lock();
-                    let Some(bytes) = guard.get(&r) else {
-                        return Ok(None);
-                    };
-                    return MemTransport::stream_record_checksummed(bytes, out).map(Some);
-                }
-            }
+    fn read_record(
+        &self,
+        key: RawRecordKind,
+        max: usize,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<bool> {
+        let records = self.records.lock();
+        let Some(bytes) = records.get(&key) else {
+            return Ok(false);
+        };
+        visit(&bytes[..bytes.len().min(max)], true)?;
+        Ok(true)
+    }
+
+    /// The stored trailer is zero: the body is copied through in
+    /// cache-sized blocks with the CRC folded in on the same pass, and the
+    /// real trailer appended.
+    fn copy_record(&self, key: RawRecordKind, out: &mut dyn Write) -> Result<Option<u64>> {
+        let records = self.records.lock();
+        let Some(bytes) = records.get(&key) else {
+            return Ok(None);
+        };
+        let mut crc = Crc32::new();
+        for block in bytes[..bytes.len() - 4].chunks(256 << 10) {
+            crc.update(block);
+            out.write_all(block)?;
         }
-        write_merged_fallback(self, rank, out)
+        out.write_all(&crc.finish().to_le_bytes())?;
+        Ok(Some(bytes.len() as u64))
+    }
+
+    fn remove_deltas(&self, chains: Chains) -> Result<()> {
+        self.records.lock().retain(|key, _| !chains.covers(*key));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::CheckpointStore;
+    use crate::snapshot::SnapshotIo;
+    use crate::store::{CheckpointStore, FieldSource, SnapshotMeta};
     use ppar_core::shared::SharedVec;
-    use ppar_core::state::StateCell;
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ppar_transport_{tag}_{}", std::process::id()));
@@ -1092,90 +484,6 @@ mod tests {
             rank,
             nranks: 1,
         }
-    }
-
-    #[test]
-    fn mem_master_roundtrip_and_counts() {
-        let t = MemTransport::new();
-        assert!(t.read_merged_master().unwrap().is_none());
-        assert_eq!(t.restart_count().unwrap(), None);
-
-        let payload = vec![1u8, 2, 3, 4];
-        t.put_master(
-            &meta(7, None),
-            &[("G", FieldSource::Bytes(&payload))],
-            &mut Vec::new(),
-        )
-        .unwrap();
-        let snap = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(snap.count, 7);
-        assert_eq!(snap.field("G").unwrap(), payload.as_slice());
-        assert_eq!(t.restart_count().unwrap(), Some(7));
-        assert_eq!(t.snapshots_stored(), 1);
-        assert!(t.bytes_written() > 0);
-    }
-
-    #[test]
-    fn mem_shard_roundtrip_prefers_master_for_restart_count() {
-        let t = MemTransport::new();
-        let payload = vec![9u8; 16];
-        let mut m = meta(5, Some(2));
-        m.nranks = 4;
-        t.put_shard(&m, &[("G", FieldSource::Bytes(&payload))], &mut Vec::new())
-            .unwrap();
-        assert!(t.read_merged_shard(1).unwrap().is_none());
-        assert_eq!(t.read_merged_shard(2).unwrap().unwrap().count, 5);
-        // restart_count falls back to shard 0 only.
-        assert_eq!(t.restart_count().unwrap(), None);
-        let mut m0 = meta(9, Some(0));
-        m0.nranks = 4;
-        t.put_shard(&m0, &[("G", FieldSource::Bytes(&payload))], &mut Vec::new())
-            .unwrap();
-        assert_eq!(t.restart_count().unwrap(), Some(9));
-    }
-
-    #[test]
-    fn mem_delta_chain_merges_and_gc_clears() {
-        let t = MemTransport::new();
-        let v = SharedVec::from_vec((0..4000).map(|i| i as f64).collect());
-        t.put_master(
-            &meta(10, None),
-            &[("G", FieldSource::Cell(&v))],
-            &mut Vec::new(),
-        )
-        .unwrap();
-        v.clear_dirty();
-
-        v.set(3, -1.0);
-        let ranges = v.dirty_byte_ranges();
-        let dm = DeltaMeta {
-            mode_tag: "smp4".into(),
-            count: 20,
-            base_count: 10,
-            seq: 1,
-            rank: None,
-            nranks: 1,
-        };
-        t.put_master_delta(
-            &dm,
-            &[(
-                "G",
-                DeltaSource::DirtyCell {
-                    cell: &v,
-                    ranges: &ranges,
-                },
-            )],
-            &mut Vec::new(),
-        )
-        .unwrap();
-
-        let merged = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(merged.count, 20, "restart replays to the delta");
-        assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
-        assert_eq!(t.restart_count().unwrap(), Some(20));
-
-        t.clear_deltas(None).unwrap();
-        assert_eq!(t.read_merged_master().unwrap().unwrap().count, 10);
     }
 
     /// The transport contract: for identical content, the in-memory record
@@ -1205,32 +513,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Both transports are interchangeable behind the trait object.
-    #[test]
-    fn trait_object_dispatch_works_for_both() {
-        let dir = tmpdir("dyn");
-        let transports: Vec<Arc<dyn CkptTransport>> = vec![
-            Arc::new(CheckpointStore::new(&dir).unwrap()),
-            Arc::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            let payload = vec![5u8; 8];
-            t.put_master(
-                &meta(1, None),
-                &[("x", FieldSource::Bytes(&payload))],
-                &mut Vec::new(),
-            )
-            .unwrap();
-            let snap = t.read_merged_master().unwrap().unwrap();
-            assert_eq!(snap.field("x").unwrap(), payload.as_slice());
-            assert_eq!(t.restart_count().unwrap(), Some(1));
-            t.clear_all_deltas().unwrap();
-        }
-        assert_eq!(transports[0].describe(), "file");
-        assert_eq!(transports[1].describe(), "memory");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn sample_snapshot(count: u64, rank: Option<u32>) -> Snapshot {
         Snapshot {
             mode_tag: "smp4".into(),
@@ -1244,47 +526,6 @@ mod tests {
         }
     }
 
-    /// A raw streamed install (checksummed wire bytes fed in chunks) must
-    /// land exactly where a direct `put_*` would, on every transport, and
-    /// an aborted stream must leave the previous record untouched.
-    #[test]
-    fn raw_sink_install_matches_put_and_abort_preserves_prior() {
-        let dir = tmpdir("rawsink");
-        let transports: Vec<Box<dyn CkptTransport>> = vec![
-            Box::new(CheckpointStore::new(&dir).unwrap()),
-            Box::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            let snap = sample_snapshot(5, None);
-            let wire = snap.encode(); // checksummed golden encoding
-            let mut sink = t
-                .begin_raw(RawRecordKind::Master, wire.len() as u64)
-                .unwrap();
-            for chunk in wire.chunks(7) {
-                sink.write_chunk(chunk).unwrap();
-            }
-            assert_eq!(sink.commit().unwrap(), wire.len() as u64);
-            assert_eq!(
-                t.read_merged_master().unwrap().unwrap(),
-                snap,
-                "{}",
-                t.describe()
-            );
-
-            // Aborted second install: the committed record stays.
-            let mut sink = t.begin_raw(RawRecordKind::Master, 0).unwrap();
-            sink.write_chunk(b"partial garbage").unwrap();
-            sink.abort();
-            assert_eq!(
-                t.read_merged_master().unwrap().unwrap(),
-                snap,
-                "{} after abort",
-                t.describe()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Shard and delta kinds route to the right keys through the raw sink.
     #[test]
     #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
@@ -1292,184 +533,46 @@ mod tests {
         let t = MemTransport::new();
         let shard = sample_snapshot(4, Some(2));
         let wire = shard.encode();
-        let mut sink = t.begin_raw(RawRecordKind::Shard(2), 0).unwrap();
+        let mut sink = t.begin_put(RawRecordKind::Shard(2), 0).unwrap();
         sink.write_chunk(&wire).unwrap();
         sink.commit().unwrap();
         assert_eq!(t.read_merged_shard(2).unwrap().unwrap(), shard);
 
         // Kind/record mismatch is rejected before any swap.
-        let mut sink = t.begin_raw(RawRecordKind::Shard(9), 0).unwrap();
+        let mut sink = t.begin_put(RawRecordKind::Shard(9), 0).unwrap();
         sink.write_chunk(&wire).unwrap();
         assert!(sink.commit().is_err());
         assert!(t.read_merged_shard(9).unwrap().is_none());
-    }
 
-    /// `write_merged_record` emits a checksummed record that decodes to
-    /// the merged state — via the copy-through fast path (no deltas) and
-    /// the materializing fallback (chain pending) alike, on both
-    /// transports.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn write_merged_record_roundtrips_checksummed() {
-        let dir = tmpdir("merged_rec");
-        let transports: Vec<Box<dyn CkptTransport>> = vec![
-            Box::new(CheckpointStore::new(&dir).unwrap()),
-            Box::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            assert!(t
-                .write_merged_record(None, &mut Vec::new())
-                .unwrap()
-                .is_none());
-            let snap = sample_snapshot(10, None);
-            let fields: Vec<(&str, FieldSource<'_>)> = snap
-                .fields
-                .iter()
-                .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-                .collect();
-            t.put_master(&snap.meta(), &fields, &mut Vec::new())
-                .unwrap();
-
-            // Fast path: no chain.
-            let mut out = Vec::new();
-            let n = t.write_merged_record(None, &mut out).unwrap().unwrap();
-            assert_eq!(n as usize, out.len());
-            assert_eq!(Snapshot::decode(&out).unwrap(), snap, "{}", t.describe());
-
-            // Fallback path: delta chain pending.
-            let dm = DeltaMeta {
-                mode_tag: "smp4".into(),
-                count: 20,
-                base_count: 10,
-                seq: 1,
-                rank: None,
-                nranks: 1,
-            };
-            let patch = [7u8; 4];
-            t.put_master_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyBytes {
-                        full_len: 9000,
-                        ranges: &[0..4],
-                        payload: &patch,
-                    },
-                )],
-                &mut Vec::new(),
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            t.write_merged_record(None, &mut out).unwrap().unwrap();
-            let merged = Snapshot::decode(&out).unwrap();
-            assert_eq!(merged.count, 20, "{}", t.describe());
-            assert_eq!(&merged.field("G").unwrap()[..4], &patch);
-            t.clear_all_deltas().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Delta records stream through the *buffered* fallback sink too (the
-    /// decode → re-encode path used by transports without an incremental
-    /// medium), landing byte-compatible with a direct `put_*_delta`.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn buffered_fallback_sink_installs_deltas() {
-        // A minimal transport with no overrides: wrap MemTransport but
-        // only forward the trait's required methods, so the default
-        // BufferedRawSink is exercised.
-        struct Plain(MemTransport);
-        impl CkptTransport for Plain {
-            fn describe(&self) -> &'static str {
-                "plain"
-            }
-            fn put_master(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_master(m, f, s)
-            }
-            fn put_shard(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_shard(m, f, s)
-            }
-            fn put_master_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_master_delta(m, f, s)
-            }
-            fn put_shard_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_shard_delta(m, f, s)
-            }
-            fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-                self.0.read_merged_master()
-            }
-            fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-                self.0.read_merged_shard(rank)
-            }
-            fn restart_count(&self) -> Result<Option<u64>> {
-                self.0.restart_count()
-            }
-            fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-                self.0.clear_deltas(rank)
-            }
-            fn clear_all_deltas(&self) -> Result<()> {
-                self.0.clear_all_deltas()
-            }
-        }
-
-        let t = Plain(MemTransport::new());
-        let snap = sample_snapshot(10, None);
-        let mut sink = t.begin_raw(RawRecordKind::Master, 0).unwrap();
-        sink.write_chunk(&snap.encode()).unwrap();
-        sink.commit().unwrap();
-
-        // Build a real delta record via the golden delta encoder, stream
-        // it through the fallback sink, and check the merge result.
-        let dm = DeltaMeta {
+        // A delta routed to the wrong chain position is rejected too.
+        let dm = crate::delta::DeltaMeta {
             mode_tag: "smp4".into(),
-            count: 20,
-            base_count: 10,
+            count: 5,
+            base_count: 4,
             seq: 1,
-            rank: None,
+            rank: Some(2),
             nranks: 1,
         };
         let patch = [9u8; 8];
-        let mut w = SnapshotWriter::new_delta(Vec::new(), &dm, 1).unwrap();
-        w.delta_field_sparse_bytes("G", 9000, &[16..24], &patch)
-            .unwrap();
-        let (_, wire) = w.finish().unwrap();
+        let source = crate::store::DeltaSource::DirtyBytes {
+            full_len: 9000,
+            ranges: &[16..24],
+            payload: &patch,
+        };
+        let (_, wire) =
+            crate::snapshot::encode_delta(Vec::new(), &dm, &[("G", source)], &mut Vec::new(), true)
+                .unwrap();
         let mut sink = t
-            .begin_raw(RawRecordKind::MasterDelta { seq: 1 }, wire.len() as u64)
-            .unwrap();
-        for chunk in wire.chunks(11) {
-            sink.write_chunk(chunk).unwrap();
-        }
-        sink.commit().unwrap();
-        let merged = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(merged.count, 20);
-        assert_eq!(&merged.field("G").unwrap()[16..24], &patch);
-
-        // Wrong seq routing is rejected.
-        let mut sink = t
-            .begin_raw(RawRecordKind::MasterDelta { seq: 3 }, 0)
+            .begin_put(RawRecordKind::ShardDelta { rank: 2, seq: 3 }, 0)
             .unwrap();
         sink.write_chunk(&wire).unwrap();
         assert!(sink.commit().is_err());
+        let mut sink = t
+            .begin_put(RawRecordKind::ShardDelta { rank: 2, seq: 1 }, 0)
+            .unwrap();
+        sink.write_chunk(&wire).unwrap();
+        sink.commit().unwrap();
+        assert_eq!(t.read_merged_shard(2).unwrap().unwrap().count, 5);
     }
 
     proptest::proptest! {

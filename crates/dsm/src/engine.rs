@@ -28,7 +28,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
-use ppar_ckpt::store::SnapshotWriter;
+use ppar_ckpt::snapshot::encode_delta;
+use ppar_ckpt::store::DeltaSource;
 use ppar_core::ctx::{CkptHook, Ctx, Engine};
 use ppar_core::mode::ExecMode;
 use ppar_core::partition::{block_owned, block_with_halo, owned_ranges, Partition};
@@ -138,7 +139,7 @@ impl DsmEngine {
     /// block-partitioned field at the root: each element clamps its write
     /// tracking to the owned block, widens to index boundaries, and ships
     /// one **`PPARDLT1` delta record** — the exact encoding the checkpoint
-    /// store persists, streamed through the shared [`SnapshotWriter`] with
+    /// store persists, streamed through the shared encoder ([`encode_delta`]) with
     /// its running CRC-32, so the rank→root hand-off is integrity-checked
     /// end to end and rides any fabric (including real TCP) for free. The
     /// root decodes with the shared delta reader and installs the patches,
@@ -204,11 +205,17 @@ impl DsmEngine {
         // record does not pay growth reallocs on its encode pass.
         let dirty_bytes: usize = byte_ranges.iter().map(|r| r.len()).sum();
         let hint = dirty_bytes + byte_ranges.len() * 16 + field.len() + 128;
-        let record = (|| -> ppar_core::error::Result<Vec<u8>> {
-            let mut w = SnapshotWriter::new_delta(Vec::with_capacity(hint), &meta, 1)?;
-            w.delta_field_sparse_cell(field, sc, &byte_ranges)?;
-            Ok(w.finish()?.1)
-        })()
+        let source = DeltaSource::DirtyCell {
+            cell: sc,
+            ranges: &byte_ranges,
+        };
+        let (_, record) = encode_delta(
+            Vec::with_capacity(hint),
+            &meta,
+            &[(field, source)],
+            &mut Vec::new(),
+            true,
+        )
         .expect("dirty-gather delta encoding failed");
 
         if let Some(all) = self.ep.gather(0, record) {

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use ppar_ckpt::SnapshotIo;
 use ppar_core::ctx::Ctx;
 use ppar_core::partition::{FieldDist, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug, PointSet, ReduceOp, UpdateAction};
@@ -427,8 +428,8 @@ fn incremental_master_collect_crash_restart() {
     );
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     assert!(
-        store.read_master_delta(1).unwrap().is_some()
-            && store.read_master_delta(3).unwrap().is_some(),
+        store.read_delta(None, 1).unwrap().is_some()
+            && store.read_delta(None, 3).unwrap().is_some(),
         "incremental master-collect must leave a delta chain on disk"
     );
     assert_eq!(store.restart_count().unwrap(), Some(8));
@@ -468,7 +469,7 @@ fn incremental_local_snapshot_crash_restart() {
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     for rank in 0..4 {
         assert!(
-            store.read_shard_delta(rank, 1).unwrap().is_some(),
+            store.read_delta(Some(rank), 1).unwrap().is_some(),
             "rank {rank} must have a shard delta"
         );
     }

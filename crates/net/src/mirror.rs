@@ -5,32 +5,33 @@
 //! group-committed safe point — the rejoined newcomer restores its shard
 //! over the network from the root's durable store, but the survivors
 //! already streamed that exact shard generation out of their own memory
-//! moments ago. [`MirrorTransport`] keeps the last two full shard records
-//! a rank saved in local [`MemTransport`] slots (two, because a rank can
-//! have saved generation `N+1` while the group commit still points at
-//! `N` — the torn-checkpoint case), so a survivor's count-pinned restore
-//! ([`CkptTransport::read_shard_at`]) is a local memory read instead of a
-//! root round-trip. Recovery traffic then scales with the *one* lost
+//! moments ago. [`MirrorTransport`] is a record-level tee: every full shard
+//! record a rank puts is streamed to the network medium and, on the same
+//! pass, into one of two local [`MemTransport`] slots (two, because a rank
+//! can have saved generation `N+1` while the group commit still points at
+//! `N` — the torn-checkpoint case). A survivor's count-pinned restore
+//! ([`CkptTransport::read_shard_at`]) is then a local memory read instead
+//! of a root round-trip, so recovery traffic scales with the *one* lost
 //! shard, not the whole aggregate.
 //!
-//! The network transport stays the durability authority: every put is
-//! forwarded first and its result is what the caller sees; the local tee
-//! is opportunistic. A failed network put wipes the mirror — after a
-//! fault the local generations can no longer be trusted to match what the
-//! root will serve, and a stale hit here would restore state diverging
-//! from the group. Delta records are not mirrored (the mirror serves only
-//! exact-count full-snapshot hits and falls through to the network for
-//! everything else).
+//! The network medium stays the durability authority: its commit result is
+//! what the caller sees, and every other record and read goes to it
+//! directly; the local tee is opportunistic. A failed or abandoned network
+//! put wipes the mirror — after a fault the local generations can no
+//! longer be trusted to match what the root will serve, and a stale hit
+//! here would restore state diverging from the group. Delta records are
+//! not mirrored: a shard delta wipes the mirror (a chain over a mirrored
+//! base would make the local generation's merged count drift from its
+//! slot key), and restores fall through to the network.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{DeltaSource, FieldSource, Snapshot, SnapshotMeta};
-use ppar_ckpt::transport::{CkptTransport, RawRecordKind, RawRecordSink};
-use ppar_ckpt::MemTransport;
+use ppar_ckpt::store::Snapshot;
+use ppar_ckpt::transport::{Chains, CkptTransport, RawRecordKind, RawRecordSink, RecordVisitor};
+use ppar_ckpt::{MemTransport, PutStats, SnapshotIo};
 use ppar_core::error::Result;
 
 /// Which local slot holds which shard generation (see module docs).
@@ -43,7 +44,7 @@ struct MirrorState {
 }
 
 /// A [`CkptTransport`] that forwards everything to an inner (network)
-/// transport while teeing full shard saves into two alternating local
+/// medium while teeing full shard records into two alternating local
 /// in-memory generations, serving count-pinned shard restores locally
 /// when a generation matches. See the [module docs](self).
 pub struct MirrorTransport {
@@ -70,7 +71,7 @@ impl MirrorTransport {
         self.local_hits.load(Ordering::Relaxed)
     }
 
-    /// Drop both local generations (a fault boundary: the network store
+    /// Drop both local generations (a fault boundary: the network medium
     /// is the only trusted source until the next successful save).
     fn wipe(&self) {
         let mut st = self.state.lock();
@@ -82,85 +83,117 @@ impl MirrorTransport {
     }
 }
 
+/// A full shard put streamed to the network medium and the mirror slot on
+/// the same pass.
+struct TeeSink<'a> {
+    mirror: &'a MirrorTransport,
+    slot: usize,
+    key: RawRecordKind,
+    net: Box<dyn RawRecordSink + 'a>,
+    /// `None` once the local copy failed: that only disables the fast lane.
+    local: Option<Box<dyn RawRecordSink + 'a>>,
+}
+
+impl RawRecordSink for TeeSink<'_> {
+    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
+        self.net.write_chunk(chunk)?;
+        if let Some(local) = &mut self.local {
+            if local.write_chunk(chunk).is_err() {
+                self.local = None;
+            }
+        }
+        Ok(())
+    }
+
+    fn commit(self: Box<Self>) -> Result<u64> {
+        let tee = *self;
+        let written = tee.net.commit().inspect_err(|_| tee.mirror.wipe())?;
+        let slot = &tee.mirror.slots[tee.slot];
+        let count = tee
+            .local
+            .and_then(|local| local.commit().ok())
+            .and_then(|_| slot.peek_count(tee.key).ok().flatten());
+        let mut st = tee.mirror.state.lock();
+        st.counts[tee.slot] = count;
+        match count {
+            Some(_) => st.next = tee.slot ^ 1,
+            None => slot.clear(),
+        }
+        Ok(written)
+    }
+
+    fn abort(self: Box<Self>) {
+        let mirror = self.mirror;
+        drop(self);
+        mirror.wipe();
+    }
+
+    fn checksummed(&self) -> bool {
+        self.net.checksummed()
+    }
+}
+
 impl CkptTransport for MirrorTransport {
     fn describe(&self) -> &'static str {
         "mirror"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.net.put_master(meta, fields, scratch)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let written = match self.net.put_shard(meta, fields, scratch) {
-            Ok(w) => w,
-            Err(e) => {
-                self.wipe();
-                return Err(e);
-            }
-        };
-        let mut st = self.state.lock();
-        let slot = st.next;
-        match self.slots[slot].put_shard(meta, fields, scratch) {
-            Ok(_) => {
-                st.counts[slot] = Some(meta.count);
-                st.next = slot ^ 1;
-            }
-            Err(_) => {
-                // Local tee failure only disables the fast lane.
-                st.counts[slot] = None;
+    fn begin_put<'a>(
+        &'a self,
+        key: RawRecordKind,
+        len_hint: u64,
+    ) -> Result<Box<dyn RawRecordSink + 'a>> {
+        match key {
+            RawRecordKind::Shard(_) => {
+                // The slot about to be overwritten holds the older
+                // generation; evicting it first lets the put reuse its
+                // buffer.
+                let slot = {
+                    let mut st = self.state.lock();
+                    let slot = st.next;
+                    st.counts[slot] = None;
+                    slot
+                };
                 self.slots[slot].clear();
+                let net = self
+                    .net
+                    .begin_put(key, len_hint)
+                    .inspect_err(|_| self.wipe())?;
+                Ok(Box::new(TeeSink {
+                    mirror: self,
+                    slot,
+                    key,
+                    net,
+                    local: self.slots[slot].begin_put(key, len_hint).ok(),
+                }))
             }
-        }
-        Ok(written)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.net.put_master_delta(meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        // Deltas are not mirrored: a chain over a mirrored base would make
-        // the local generation's merged count drift from its slot key.
-        // Fail the mirror closed instead and let restores fall through.
-        match self.net.put_shard_delta(meta, fields, scratch) {
-            Ok(w) => {
+            RawRecordKind::ShardDelta { .. } => {
                 self.wipe();
-                Ok(w)
+                self.net.begin_put(key, len_hint)
             }
-            Err(e) => {
-                self.wipe();
-                Err(e)
-            }
+            _ => self.net.begin_put(key, len_hint),
         }
     }
 
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        self.net.read_merged_master()
+    fn read_record(
+        &self,
+        key: RawRecordKind,
+        max: usize,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<bool> {
+        self.net.read_record(key, max, visit)
     }
 
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.net.read_merged_shard(rank)
+    fn remove_deltas(&self, chains: Chains) -> Result<()> {
+        self.net.remove_deltas(chains)
+    }
+
+    fn commit_group(&self, count: u64) -> Result<()> {
+        self.net.commit_group(count)
+    }
+
+    fn committed_count(&self) -> Result<Option<u64>> {
+        self.net.committed_count()
     }
 
     fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
@@ -179,35 +212,16 @@ impl CkptTransport for MirrorTransport {
         self.net.read_shard_at(rank, count)
     }
 
-    fn restart_count(&self) -> Result<Option<u64>> {
-        self.net.restart_count()
-    }
-
-    fn commit_group(&self, count: u64) -> Result<()> {
-        self.net.commit_group(count)
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        self.net.clear_deltas(rank)
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.net.clear_all_deltas()
-    }
-
-    fn begin_raw<'a>(
-        &'a self,
-        kind: RawRecordKind,
-        len_hint: u64,
-    ) -> Result<Box<dyn RawRecordSink + 'a>> {
-        self.net.begin_raw(kind, len_hint)
+    fn take_put_stats(&self) -> PutStats {
+        self.net.take_put_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppar_ckpt::store::SnapshotMeta;
+    use ppar_ckpt::delta::DeltaMeta;
+    use ppar_ckpt::store::{DeltaSource, FieldSource, SnapshotMeta};
     use ppar_core::error::PparError;
 
     fn shard_meta(count: u64, rank: u32) -> SnapshotMeta {
@@ -263,55 +277,26 @@ mod tests {
             fn describe(&self) -> &'static str {
                 "failnext"
             }
-            fn put_master(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_master(m, f, s)
-            }
-            fn put_shard(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
+            fn begin_put<'a>(
+                &'a self,
+                key: RawRecordKind,
+                len_hint: u64,
+            ) -> Result<Box<dyn RawRecordSink + 'a>> {
                 if self.fail.swap(false, Ordering::SeqCst) {
                     return Err(PparError::Network("peer rank 0 is down".into()));
                 }
-                self.inner.put_shard(m, f, s)
+                self.inner.begin_put(key, len_hint)
             }
-            fn put_master_delta(
+            fn read_record(
                 &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_master_delta(m, f, s)
+                key: RawRecordKind,
+                max: usize,
+                visit: &mut RecordVisitor<'_>,
+            ) -> Result<bool> {
+                self.inner.read_record(key, max, visit)
             }
-            fn put_shard_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_shard_delta(m, f, s)
-            }
-            fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-                self.inner.read_merged_master()
-            }
-            fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-                self.inner.read_merged_shard(rank)
-            }
-            fn restart_count(&self) -> Result<Option<u64>> {
-                self.inner.restart_count()
-            }
-            fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-                self.inner.clear_deltas(rank)
-            }
-            fn clear_all_deltas(&self) -> Result<()> {
-                self.inner.clear_all_deltas()
+            fn remove_deltas(&self, chains: Chains) -> Result<()> {
+                self.inner.remove_deltas(chains)
             }
         }
 

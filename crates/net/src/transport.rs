@@ -1,48 +1,53 @@
 //! `NetTransport`: streaming checkpoint records over the fabric.
 //!
 //! In a real multi-process job the ranks no longer share an address space
-//! — and often no disk. This module keeps the checkpoint layer's
-//! [`CkptTransport`] seam intact across that boundary, and it does so
-//! **streaming end-to-end**: no hop on the rank → root path (and none on
-//! the root → rank restore path) ever buffers a whole record.
+//! — and often no disk. This module extends the checkpoint layer's
+//! keyed-record medium seam ([`CkptTransport`]) across that boundary, and
+//! it does so **streaming end-to-end**: no hop on the rank → root path (and
+//! none on the root → rank restore path) ever buffers a whole record.
 //!
 //! * every **non-root** rank persists through a [`NetTransport`] *client*:
-//!   `put_*` drives the shared golden [`SnapshotWriter`] directly into a
-//!   `StreamTx` sink, which cuts the encoded bytes into ~4 MiB chunk
+//!   the snapshot layer's shared golden encoder streams straight into the
+//!   client's put sink, which cuts the encoded bytes into ~4 MiB chunk
 //!   frames as they are produced — a gigabyte-scale record costs the
 //!   client one chunk buffer, not a record-sized staging `Vec`;
 //! * the **root** runs a [`CkptService`]: a dispatcher thread that routes
 //!   each rank's requests to a dedicated per-rank *lane* thread, so four
 //!   ranks checkpointing concurrently stream through four independent
 //!   pipelines. A lane feeds arriving chunks straight into the durable
-//!   transport's [`RawRecordSink`] (`CkptTransport::begin_raw`) while one
+//!   medium's [`RawRecordSink`] (`CkptTransport::begin_put`) while one
 //!   running [`TrailingCrc`] pass verifies the record's own CRC — the
 //!   same bytes, one verification, no decode → re-encode round trip;
-//! * reads stream the merged record back root → rank through
-//!   `CkptTransport::write_merged_record` and the same chunk protocol
-//!   (the restart and reshape path).
+//! * reads stream records back root → rank through the same chunk
+//!   protocol (`CkptTransport::copy_record`); the count-pinned shard read
+//!   of a restore is one round trip that streams the root's merged record
+//!   at the requested safe point.
 //!
-//! Because the record bytes are produced by the same encoder on every
-//! rank, a shard streamed over TCP is byte-identical to the file a local
-//! save of the same state would have produced — state migrates between
-//! processes without any re-serialisation layer. This is also the
-//! rank-state **migration** primitive measured by the loopback bench.
+//! The service moves records, not snapshots: delta-chain merging and the
+//! restart target run in the snapshot layer above whichever medium a rank
+//! holds. Because the record bytes are produced by the same encoder on
+//! every rank, a shard streamed over TCP is byte-identical to the file a
+//! local save of the same state would have produced — state migrates
+//! between processes without any re-serialisation layer.
 //!
 //! ## Stream protocol
 //!
-//! A `put` is one `REQ_TAG` *begin* request (`[op][stream id][rank][seq]
-//! [length hint]`) followed by chunk frames on the stream's own data tag.
-//! Every chunk frame carries a one-byte marker prefix: `CH_DATA` bytes,
-//! `CH_END` record complete, `CH_ABORT` sender failed mid-record
-//! (message follows). The receiver grants flow-control *credits* — the
-//! cumulative count of chunks it has consumed — on the stream's credit
-//! tag, one per `CREDIT_BATCH` chunks plus a final credit at stream
-//! end; the sender keeps at most `STREAM_WINDOW` chunks in flight, so
-//! per-stream buffering is bounded on both sides regardless of record
-//! size. The service answers a put with a fixed nine-byte
-//! `[status][bytes written]` response once the record is committed (or
-//! discarded). A `get` streams the same chunk protocol in the other
-//! direction, with `CH_ABSENT` standing in for "no record".
+//! Every request starts `[op][stream id u32][key][arg u64]`, the key being
+//! `[kind][rank u32][seq u32]`. A put (`OP_PUT`, arg = length hint) is
+//! followed by chunk frames on the stream's own data tag. Every chunk
+//! frame carries a one-byte marker prefix: `CH_DATA` bytes, `CH_END`
+//! record complete, `CH_ABORT` sender failed mid-record (message follows).
+//! The receiver grants flow-control *credits* — the cumulative count of
+//! chunks it has consumed — on the stream's credit tag, one per
+//! `CREDIT_BATCH` chunks plus a final credit at stream end; the sender
+//! keeps at most `STREAM_WINDOW` chunks in flight, so per-stream buffering
+//! is bounded on both sides regardless of record size. The service answers
+//! a put with a fixed nine-byte `[status][bytes written]` response once the
+//! record is committed (or discarded). A get (`OP_GET`, arg = byte bound,
+//! `u64::MAX` for the whole record; `OP_GET_AT`, arg = safe point) streams
+//! the same chunk protocol in the other direction, with `CH_ABSENT`
+//! standing in for "no record". `OP_COMMITTED` and `OP_CLEAR` are plain
+//! request/response control operations.
 //!
 //! Data chunks ride on raw-payload frames ([`TAG_RAW_PAYLOAD_BIT`]): the
 //! frame-level CRC covers the tag and the marker byte only, because the
@@ -56,7 +61,7 @@
 //! bytes) until the stream ends, then reports the failure in the
 //! response. A CRC mismatch or a client abort discards the partial
 //! record through [`RawRecordSink::abort`] — the previously installed
-//! record for that chain is untouched. A client that dies mid-stream
+//! record for that key is untouched. A client that dies mid-stream
 //! takes only its own lane down; the other ranks' pipelines keep
 //! flowing.
 //!
@@ -74,10 +79,11 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotWriter};
-use ppar_ckpt::transport::{CkptTransport, RawRecordKind, RawRecordSink};
-use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, TrailingCrc};
+use ppar_ckpt::store::Snapshot;
+use ppar_ckpt::transport::{
+    Chains, CkptTransport, RawRecordKind, RawRecordSink, RecordVisitor, WHOLE_RECORD,
+};
+use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, SnapshotIo, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
 
@@ -95,31 +101,34 @@ const RSP_TAG: u64 = CKPT_TAG_BIT | 0x11;
 const MASTER_SENTINEL: u32 = 0xFFFF_FFFF;
 
 // Request opcodes.
-const OP_PUT_MASTER: u8 = 1;
-const OP_PUT_SHARD: u8 = 2;
-const OP_PUT_MASTER_DELTA: u8 = 3;
-const OP_PUT_SHARD_DELTA: u8 = 4;
-const OP_GET_MASTER: u8 = 5;
-const OP_GET_SHARD: u8 = 6;
-const OP_RESTART_COUNT: u8 = 7;
-const OP_CLEAR_DELTAS: u8 = 8;
-const OP_CLEAR_ALL_DELTAS: u8 = 9;
-const OP_STOP: u8 = 10;
-/// Count-pinned shard read (the recovery path): the reply must hold the
-/// shard exactly at the requested safe point, or fail — never a newer
-/// (torn) or older generation.
-const OP_GET_SHARD_AT: u8 = 11;
-/// Digest-negotiated full-snapshot put: the client announces the record's
-/// chunk digests first; the service answers with the indices its store
-/// lacks, and only those chunks ride the wire. Falls back to the plain
-/// streamed put when the root's durable transport has no
-/// content-addressed store behind it.
-const OP_PUT_DEDUP: u8 = 12;
+/// Streamed put of one record.
+const OP_PUT: u8 = 1;
+/// Streamed get of one record (or of its first `arg` bytes).
+const OP_GET: u8 = 2;
+/// Count-pinned shard read (the recovery path): the reply holds the shard
+/// exactly at the requested safe point, or fails — never a newer (torn) or
+/// older generation.
+const OP_GET_AT: u8 = 3;
+/// The root medium's group-commit point.
+const OP_COMMITTED: u8 = 4;
+/// Delta-chain removal.
+const OP_CLEAR: u8 = 5;
+const OP_STOP: u8 = 6;
+/// Digest-negotiated put: the client announces the record's chunk digests
+/// first; the service answers with the indices its store lacks, and only
+/// those chunks ride the wire. Answered with [`ST_NODEDUP`] when the root's
+/// durable medium has no content-addressed store behind it.
+const OP_PUT_DEDUP: u8 = 7;
+
+/// Bytes of the fixed request head: op, stream id, key, arg.
+const REQ_HEAD: usize = 1 + 4 + KEY_BYTES + 8;
+/// Bytes of a record key on the wire: `[kind][rank u32][seq u32]`.
+const KEY_BYTES: usize = 9;
 
 // Response status bytes.
 const ST_OK: u8 = 0;
 const ST_ERR: u8 = 1;
-/// Answer to [`OP_PUT_DEDUP`] when the root's durable transport cannot
+/// Answer to [`OP_PUT_DEDUP`] when the root's durable medium cannot
 /// install by digest (flat store): the client re-sends as a plain put and
 /// caches the answer so later snapshots skip the probe.
 const ST_NODEDUP: u8 = 2;
@@ -127,7 +136,7 @@ const ST_NODEDUP: u8 = 2;
 /// Bytes per dedup-negotiated chunk. Matches the store's default chunk
 /// size ([`DIRTY_CHUNK_BYTES`]) so wire-installed records share chunk
 /// identities with locally written ones — dedup works across ranks *and*
-/// across transports.
+/// across media.
 const DEDUP_CHUNK: usize = DIRTY_CHUNK_BYTES;
 /// Bytes of one dedup digest-table entry on the wire (digest + length).
 const DEDUP_ENTRY: usize = 20;
@@ -161,6 +170,57 @@ const CREDIT_BATCH: u64 = 4;
 /// checksum and the sink in cache-resident blocks so the copy re-reads
 /// what the CRC just pulled into L2 instead of sweeping DRAM twice.
 const CRC_SINK_BLOCK: usize = 256 << 10;
+
+/// One request's fixed head (see the module docs' stream protocol).
+fn request(op: u8, id: u32, key: RawRecordKind, arg: u64) -> Vec<u8> {
+    let (kind, rank, seq) = match key {
+        RawRecordKind::Master => (0u8, MASTER_SENTINEL, 0),
+        RawRecordKind::Shard(r) => (1, r, 0),
+        RawRecordKind::PrevShard(r) => (2, r, 0),
+        RawRecordKind::MasterDelta { seq } => (3, MASTER_SENTINEL, seq),
+        RawRecordKind::ShardDelta { rank, seq } => (4, rank, seq),
+    };
+    let mut req = Vec::with_capacity(REQ_HEAD);
+    req.push(op);
+    req.extend_from_slice(&id.to_le_bytes());
+    req.push(kind);
+    req.extend_from_slice(&rank.to_le_bytes());
+    req.extend_from_slice(&seq.to_le_bytes());
+    req.extend_from_slice(&arg.to_le_bytes());
+    req
+}
+
+/// A parsed request head (the opcode already stripped).
+struct Request<'a> {
+    id: u32,
+    key: RawRecordKind,
+    arg: u64,
+    /// Bytes after the head (the dedup digest table).
+    rest: &'a [u8],
+}
+
+fn parse_request(body: &[u8]) -> Result<Request<'_>> {
+    let field = |at: usize| body.get(at..).unwrap_or(&[]);
+    let (rank, seq) = (read_u32(field(5))?, read_u32(field(9))?);
+    let key = match body.get(4) {
+        Some(0) => RawRecordKind::Master,
+        Some(1) => RawRecordKind::Shard(rank),
+        Some(2) => RawRecordKind::PrevShard(rank),
+        Some(3) => RawRecordKind::MasterDelta { seq },
+        Some(4) => RawRecordKind::ShardDelta { rank, seq },
+        _ => {
+            return Err(PparError::Network(
+                "malformed record key in checkpoint request".into(),
+            ))
+        }
+    };
+    Ok(Request {
+        id: read_u32(body)?,
+        key,
+        arg: read_u64(field(13))?,
+        rest: field(REQ_HEAD - 1),
+    })
+}
 
 /// Process-wide stream-id source; ids are unique per process far beyond
 /// any plausible overlap window.
@@ -197,7 +257,7 @@ fn chunk_capacity() -> usize {
 /// whatever is written into marker-prefixed chunk frames, blocking on the
 /// receiver's credits once [`STREAM_WINDOW`] chunks are unacknowledged.
 /// The client drives [`SnapshotWriter`] into one of these; the service's
-/// get path drives `CkptTransport::write_merged_record` into one.
+/// get path drives `CkptTransport::copy_record` into one.
 struct StreamTx<'a> {
     fabric: &'a dyn Fabric,
     me: usize,
@@ -399,14 +459,14 @@ fn recv_stream(
 // ---------------------------------------------------------------------------
 
 /// Client half: a [`CkptTransport`] whose durable medium lives on the root
-/// rank, reached over the fabric. One per non-root rank process.
+/// rank, reached over the fabric. One per non-root rank process. The root
+/// owns the group-commit point (it commits its own medium after the
+/// group's post-save barrier), so a client's `commit_group` is a no-op.
 pub struct NetTransport {
     fabric: Arc<dyn Fabric>,
     rank: usize,
     root: usize,
-    /// Digest negotiation enabled (`PPAR_NET_DEDUP` ≠ `0`).
-    dedup_enabled: bool,
-    /// Whether the root's durable transport accepted the last dedup
+    /// Whether the root's durable medium accepted the last dedup
     /// negotiation; flipped off on [`ST_NODEDUP`] so a flat-store root
     /// costs one probe per job, not one per snapshot.
     dedup_supported: AtomicBool,
@@ -423,10 +483,14 @@ impl NetTransport {
             fabric,
             rank,
             root: 0,
-            dedup_enabled: std::env::var("PPAR_NET_DEDUP").map_or(true, |v| v != "0"),
             dedup_supported: AtomicBool::new(true),
             stats: Mutex::new(PutStats::default()),
         }
+    }
+
+    fn send(&self, req: Vec<u8>) {
+        self.fabric
+            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
     }
 
     /// Receive and status-check one service response.
@@ -434,105 +498,25 @@ impl NetTransport {
         let rsp = self.fabric.recv(self.rank, self.root, RSP_TAG)?;
         match rsp.first() {
             Some(&ST_OK) => Ok(rsp),
-            Some(&ST_ERR) => Err(PparError::Network(format!(
-                "checkpoint service on rank {}: {}",
-                self.root,
-                String::from_utf8_lossy(&rsp[1..])
-            ))),
+            Some(&ST_ERR) => Err(self.service_error(&rsp[1..])),
             _ => Err(PparError::Network("empty checkpoint response".into())),
         }
+    }
+
+    fn service_error(&self, msg: &[u8]) -> PparError {
+        PparError::Network(format!(
+            "checkpoint service on rank {}: {}",
+            self.root,
+            String::from_utf8_lossy(msg)
+        ))
     }
 
     /// One request/response round trip (control operations). Checkpoint
     /// operations are issued serially per rank (they run at quiesced safe
     /// points), so the single response tag cannot interleave.
     fn rpc(&self, req: Vec<u8>) -> Result<Payload> {
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        self.send(req);
         self.recv_response()
-    }
-
-    /// The record length announced in a put's begin request — lets the
-    /// service pre-size its durable sink. A hint only, never a bound.
-    fn reserve_hint(fields: &[(&str, FieldSource<'_>)]) -> usize {
-        fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    FieldSource::Bytes(b) => b.len(),
-                    FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
-                };
-                name.len() + 16 + body
-            })
-            .sum::<usize>()
-            + 128
-    }
-
-    /// [`NetTransport::reserve_hint`] for delta records: sparse entries
-    /// contribute their range map + carried bytes, full entries their
-    /// whole body.
-    fn delta_reserve_hint(fields: &[(&str, DeltaSource<'_>)]) -> usize {
-        fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    DeltaSource::Full(FieldSource::Bytes(b)) => b.len(),
-                    DeltaSource::Full(FieldSource::Cell(cell)) => {
-                        cell.known_byte_len().unwrap_or(0)
-                    }
-                    DeltaSource::DirtyCell { ranges, .. } => {
-                        ranges.iter().map(|r| r.len()).sum::<usize>() + ranges.len() * 16
-                    }
-                    DeltaSource::DirtyBytes {
-                        ranges, payload, ..
-                    } => payload.len() + ranges.len() * 16,
-                };
-                name.len() + 32 + body
-            })
-            .sum::<usize>()
-            + 128
-    }
-
-    /// Send a put's begin request and stream the record `encode` produces
-    /// into chunk frames; on an encode failure the service is told to
-    /// discard the partial record and its (error) response is consumed,
-    /// keeping the response channel aligned for the next operation.
-    fn stream_put(
-        &self,
-        op: u8,
-        rank_wire: u32,
-        seq: u32,
-        len_hint: u64,
-        encode: impl FnOnce(&mut StreamTx<'_>) -> Result<u64>,
-    ) -> Result<u64> {
-        let id = next_stream_id();
-        let mut req = Vec::with_capacity(21);
-        req.push(op);
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
-        req.extend_from_slice(&seq.to_le_bytes());
-        req.extend_from_slice(&len_hint.to_le_bytes());
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
-        let mut tx = StreamTx::new(self.fabric.as_ref(), self.rank, self.root, id, KIND_DATA);
-        let written = match encode(&mut tx).and_then(|w| {
-            tx.finish()?;
-            Ok(w)
-        }) {
-            Ok(written) => written,
-            Err(e) => {
-                tx.abort(&e.to_string());
-                let _ = self.recv_response();
-                let _ = tx.wait_drained();
-                return Err(e);
-            }
-        };
-        // The response follows the service's last credit on the same
-        // ordered channel, so draining after it never blocks for long.
-        let rsp = self.recv_response();
-        tx.wait_drained()?;
-        rsp?;
-        Ok(written)
     }
 
     /// Negotiate a full-snapshot put by chunk digest: send the record's
@@ -541,41 +525,30 @@ impl NetTransport {
     /// unavailable (root on a flat store, or the digest table itself
     /// would not fit a frame) — the caller falls back to the plain
     /// streamed put.
-    fn put_dedup(&self, op: u8, rank_wire: u32, record: &[u8]) -> Result<Option<u64>> {
+    fn put_dedup(&self, key: RawRecordKind, record: &[u8]) -> Result<Option<u64>> {
         let n = record.len().div_ceil(DEDUP_CHUNK);
         let id = next_stream_id();
-        let req_len = 21 + 4 + n * DEDUP_ENTRY;
+        let req_len = REQ_HEAD + 4 + n * DEDUP_ENTRY;
         if req_len > chunk_capacity() {
             // Digest table larger than a frame: a record this large gains
             // little from saving one round's chunks anyway.
             return Ok(None);
         }
-        let mut req = Vec::with_capacity(req_len);
-        req.push(op);
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
-        req.extend_from_slice(&0u32.to_le_bytes()); // seq (unused: full puts)
-        req.extend_from_slice(&(record.len() as u64).to_le_bytes());
+        let mut req = request(OP_PUT_DEDUP, id, key, record.len() as u64);
+        req.reserve(req_len - REQ_HEAD);
         req.extend_from_slice(&(n as u32).to_le_bytes());
         for chunk in record.chunks(DEDUP_CHUNK) {
             req.extend_from_slice(&ChunkDigest::of(chunk).0);
             req.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
         }
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        self.send(req);
         let rsp = self.fabric.recv(self.rank, self.root, RSP_TAG)?;
         let missing: Vec<u32> = match rsp.first() {
             Some(&ST_NODEDUP) => {
                 self.dedup_supported.store(false, Ordering::Relaxed);
                 return Ok(None);
             }
-            Some(&ST_ERR) => {
-                return Err(PparError::Network(format!(
-                    "checkpoint service on rank {}: {}",
-                    self.root,
-                    String::from_utf8_lossy(&rsp[1..])
-                )))
-            }
+            Some(&ST_ERR) => return Err(self.service_error(&rsp[1..])),
             Some(&ST_OK) => {
                 let count = rsp
                     .get(1..5)
@@ -592,114 +565,26 @@ impl NetTransport {
         };
         // Stream the missing chunks (possibly none) back to back; the
         // service re-slices by the lengths it already holds.
-        let mut tx = StreamTx::new(self.fabric.as_ref(), self.rank, self.root, id, KIND_DATA);
-        let sent = missing.iter().try_for_each(|&mi| {
+        let mut put = Box::new(StreamPut::on(self, id));
+        for &mi in &missing {
             let start = mi as usize * DEDUP_CHUNK;
             let chunk = record
                 .get(start..record.len().min(start + DEDUP_CHUNK))
                 .ok_or_else(|| PparError::Network("dedup index out of range".into()))?;
-            tx.write_all(chunk)
-                .map_err(|e| PparError::Network(e.to_string()))
-        });
-        let finished = sent.and_then(|()| tx.finish());
-        if let Err(e) = finished {
-            tx.abort(&e.to_string());
-            let _ = self.recv_response();
-            let _ = tx.wait_drained();
-            return Err(e);
+            put.write_chunk(chunk)?;
         }
-        let rsp = self.recv_response();
-        tx.wait_drained()?;
-        rsp?;
+        put.commit()?;
         self.stats.lock().expect("stats lock").wire_chunks_skipped += (n - missing.len()) as u64;
         Ok(Some(record.len() as u64))
     }
 
-    fn put_full(
-        &self,
-        op: u8,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank_wire = if op == OP_PUT_SHARD {
-            meta.rank
-                .ok_or_else(|| PparError::InvalidPlan("shard snapshot without a rank".into()))?
-        } else {
-            MASTER_SENTINEL
-        };
-        if self.dedup_enabled && self.dedup_supported.load(Ordering::Relaxed) {
-            // Dedup negotiation needs the digest table up front, so the
-            // record is encoded into a buffer first — the one path that
-            // trades a record-sized staging `Vec` for shipping only the
-            // chunks the root doesn't already hold.
-            let mut buf = Vec::new();
-            let mut w = SnapshotWriter::new(&mut buf, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
-            }
-            let (written, _) = w.finish()?;
-            if let Some(total) = self.put_dedup(OP_PUT_DEDUP, rank_wire, &buf)? {
-                debug_assert_eq!(total, written);
-                return Ok(written);
-            }
-            // Root can't dedup: the record is already encoded, stream it
-            // through the plain put path verbatim.
-            return self.stream_put(op, rank_wire, 0, buf.len() as u64, |tx| {
-                tx.write_all(&buf)
-                    .map_err(|e| PparError::Network(e.to_string()))?;
-                Ok(written)
-            });
-        }
-        let hint = NetTransport::reserve_hint(fields) as u64;
-        self.stream_put(op, rank_wire, 0, hint, |tx| {
-            let mut w = SnapshotWriter::new(tx, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
-            }
-            let (written, _) = w.finish()?;
-            Ok(written)
-        })
-    }
-
-    fn put_delta(
-        &self,
-        op: u8,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank_wire = if op == OP_PUT_SHARD_DELTA {
-            meta.rank
-                .ok_or_else(|| PparError::InvalidPlan("shard delta without a rank".into()))?
-        } else {
-            MASTER_SENTINEL
-        };
-        let hint = NetTransport::delta_reserve_hint(fields) as u64;
-        self.stream_put(op, rank_wire, meta.seq, hint, |tx| {
-            let mut w = SnapshotWriter::new_delta(tx, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.delta_field(name, source, scratch)?;
-            }
-            let (written, _) = w.finish()?;
-            Ok(written)
-        })
-    }
-
-    /// Request a merged record and receive it as a chunk stream, verifying
-    /// the record's trailing CRC on the same pass that accumulates it.
-    /// `at` pins the request to one safe point ([`OP_GET_SHARD_AT`]).
-    fn get_snapshot(&self, op: u8, rank_wire: u32, at: Option<u64>) -> Result<Option<Snapshot>> {
+    /// Request a record (`op` [`OP_GET`] or [`OP_GET_AT`]) and receive it as
+    /// a chunk stream. A whole record's trailing CRC is verified on the
+    /// same pass that accumulates it; a bounded read is a header peek with
+    /// no trailer to check.
+    fn get(&self, op: u8, key: RawRecordKind, arg: u64) -> Result<Option<Vec<u8>>> {
         let id = next_stream_id();
-        let mut req = Vec::with_capacity(17);
-        req.push(op);
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
-        if let Some(count) = at {
-            req.extend_from_slice(&count.to_le_bytes());
-        }
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        self.send(request(op, id, key, arg));
         let mut buf = Vec::new();
         let mut crc = TrailingCrc::new();
         let end = recv_stream(
@@ -716,33 +601,108 @@ impl NetTransport {
             },
         )?;
         match end {
+            StreamEnd::Complete if op == OP_GET && arg != u64::MAX => Ok(Some(buf)),
             StreamEnd::Complete => match crc.finish() {
-                Some((_, stored, computed)) if stored == computed => {
-                    // The wire pass just verified integrity; no second
-                    // checksum sweep over the record.
-                    let snap = Snapshot::decode_trusted(&buf)?;
-                    if let Some(count) = at {
-                        if snap.count != count {
-                            return Err(PparError::CorruptCheckpoint(format!(
-                                "service returned shard at safe point {} but the restore \
-                                 targets {count}",
-                                snap.count
-                            )));
-                        }
-                    }
-                    Ok(Some(snap))
-                }
+                Some((_, stored, computed)) if stored == computed => Ok(Some(buf)),
                 _ => Err(PparError::CorruptCheckpoint(
                     "streamed restore record failed CRC verification".into(),
                 )),
             },
             StreamEnd::Absent => Ok(None),
-            StreamEnd::Aborted(msg) => Err(PparError::Network(format!(
-                "checkpoint service on rank {}: {msg}",
-                self.root
-            ))),
+            StreamEnd::Aborted(msg) => Err(self.service_error(msg.as_bytes())),
         }
     }
+}
+
+/// A put streaming into chunk frames as the encoder produces bytes. The
+/// begin request goes out first; a sink dropped or aborted before commit
+/// tells the service to discard the partial record and consumes its
+/// (error) response, keeping the response channel aligned for the next
+/// operation.
+struct StreamPut<'a> {
+    net: &'a NetTransport,
+    tx: StreamTx<'a>,
+    written: u64,
+    open: bool,
+}
+
+impl<'a> StreamPut<'a> {
+    fn begin(net: &'a NetTransport, key: RawRecordKind, len_hint: u64) -> StreamPut<'a> {
+        let id = next_stream_id();
+        net.send(request(OP_PUT, id, key, len_hint));
+        StreamPut::on(net, id)
+    }
+
+    /// The chunk stream of a put whose request is already sent.
+    fn on(net: &'a NetTransport, id: u32) -> StreamPut<'a> {
+        StreamPut {
+            net,
+            tx: StreamTx::new(net.fabric.as_ref(), net.rank, net.root, id, KIND_DATA),
+            written: 0,
+            open: true,
+        }
+    }
+}
+
+impl RawRecordSink for StreamPut<'_> {
+    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
+        self.tx.write_all(chunk)?;
+        self.written += chunk.len() as u64;
+        Ok(())
+    }
+
+    fn commit(mut self: Box<Self>) -> Result<u64> {
+        self.tx.finish()?;
+        self.open = false;
+        // The response follows the service's last credit on the same
+        // ordered channel, so draining after it never blocks for long.
+        let rsp = self.net.recv_response();
+        self.tx.wait_drained()?;
+        rsp?;
+        Ok(self.written)
+    }
+
+    fn abort(self: Box<Self>) {}
+}
+
+impl Drop for StreamPut<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.tx.abort("record abandoned by the client");
+            let _ = self.net.recv_response();
+            let _ = self.tx.wait_drained();
+        }
+    }
+}
+
+/// A full-record put offered for digest negotiation, which needs the
+/// digest table up front: the record is staged in a buffer — the one path
+/// that trades a record-sized staging `Vec` for shipping only the chunks
+/// the root doesn't already hold.
+struct DedupPut<'a> {
+    net: &'a NetTransport,
+    key: RawRecordKind,
+    buf: Vec<u8>,
+}
+
+impl RawRecordSink for DedupPut<'_> {
+    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
+        self.buf.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    fn commit(self: Box<Self>) -> Result<u64> {
+        if let Some(total) = self.net.put_dedup(self.key, &self.buf)? {
+            return Ok(total);
+        }
+        // Root can't dedup: the record is already encoded, stream it
+        // through the plain put path verbatim.
+        let mut put = Box::new(StreamPut::begin(self.net, self.key, self.buf.len() as u64));
+        put.write_chunk(&self.buf)?;
+        put.commit()
+    }
+
+    fn abort(self: Box<Self>) {}
 }
 
 impl CkptTransport for NetTransport {
@@ -750,75 +710,77 @@ impl CkptTransport for NetTransport {
         "net"
     }
 
-    fn put_master(
+    fn begin_put<'a>(
+        &'a self,
+        key: RawRecordKind,
+        len_hint: u64,
+    ) -> Result<Box<dyn RawRecordSink + 'a>> {
+        let full = matches!(key, RawRecordKind::Master | RawRecordKind::Shard(_));
+        if full && self.dedup_supported.load(Ordering::Relaxed) {
+            return Ok(Box::new(DedupPut {
+                net: self,
+                key,
+                buf: Vec::with_capacity(ppar_ckpt::transport::clamp_record_hint(len_hint)),
+            }));
+        }
+        Ok(Box::new(StreamPut::begin(self, key, len_hint)))
+    }
+
+    fn read_record(
         &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_full(OP_PUT_MASTER, meta, fields, scratch)
+        key: RawRecordKind,
+        max: usize,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<bool> {
+        let bound = if max == WHOLE_RECORD {
+            u64::MAX
+        } else {
+            max as u64
+        };
+        match self.get(OP_GET, key, bound)? {
+            Some(bytes) => {
+                visit(&bytes, true)?;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
     }
 
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_full(OP_PUT_SHARD, meta, fields, scratch)
+    fn remove_deltas(&self, chains: Chains) -> Result<()> {
+        let arg = match chains {
+            Chains::All => u64::MAX,
+            Chains::Of(rank) => rank.unwrap_or(MASTER_SENTINEL) as u64,
+        };
+        let mut req = vec![OP_CLEAR];
+        req.extend_from_slice(&arg.to_le_bytes());
+        self.rpc(req).map(|_| ())
     }
 
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_delta(OP_PUT_MASTER_DELTA, meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_delta(OP_PUT_SHARD_DELTA, meta, fields, scratch)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_MASTER, MASTER_SENTINEL, None)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_SHARD, rank, None)
-    }
-
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_SHARD_AT, rank, Some(count))
-    }
-
-    fn restart_count(&self) -> Result<Option<u64>> {
-        let rsp = self.rpc(vec![OP_RESTART_COUNT])?;
+    fn committed_count(&self) -> Result<Option<u64>> {
+        let rsp = self.rpc(vec![OP_COMMITTED])?;
         match rsp.get(1) {
-            Some(1) if rsp.len() >= 10 => Ok(Some(u64::from_le_bytes(
-                rsp[2..10].try_into().expect("8-byte count"),
-            ))),
+            Some(1) => read_u64(&rsp[2..]).map(Some),
             Some(0) => Ok(None),
             _ => Err(PparError::Network(
-                "malformed restart-count response from checkpoint service".into(),
+                "malformed commit-point response from checkpoint service".into(),
             )),
         }
     }
 
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let mut req = vec![OP_CLEAR_DELTAS];
-        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
-        self.rpc(req).map(|_| ())
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.rpc(vec![OP_CLEAR_ALL_DELTAS]).map(|_| ())
+    /// One round trip: the service streams its merged record at `count`.
+    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
+        let Some(bytes) = self.get(OP_GET_AT, RawRecordKind::Shard(rank), count)? else {
+            return Ok(None);
+        };
+        // The wire pass just verified integrity; no second checksum sweep.
+        let snap = Snapshot::decode_trusted(&bytes)?;
+        if snap.count != count {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "service returned shard at safe point {} but the restore targets {count}",
+                snap.count
+            )));
+        }
+        Ok(Some(snap))
     }
 
     fn take_put_stats(&self) -> PutStats {
@@ -928,25 +890,16 @@ fn lane_loop(
     inner: Arc<dyn CkptTransport>,
     rx: mpsc::Receiver<Payload>,
 ) {
+    // A put whose peer died mid-stream sends no reply; nothing further
+    // from that peer can arrive, so the lane just parks on `rx` until
+    // shutdown closes the channel.
     while let Ok(req) = rx.recv() {
         let op = req.first().copied().unwrap_or(0);
         let body = req.get(1..).unwrap_or(&[]);
         match op {
-            OP_PUT_MASTER | OP_PUT_SHARD | OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA => {
-                if !lane_put(&fabric, root, src, &inner, op, body) {
-                    // The peer died mid-stream; nothing further from it
-                    // can arrive. Park until shutdown closes the channel.
-                    continue;
-                }
-            }
-            OP_PUT_DEDUP => {
-                if !lane_put_dedup(&fabric, root, src, &inner, body) {
-                    continue;
-                }
-            }
-            OP_GET_MASTER | OP_GET_SHARD | OP_GET_SHARD_AT => {
-                lane_get(&fabric, root, src, &inner, op, body)
-            }
+            OP_PUT => lane_put(&fabric, root, src, &inner, body),
+            OP_PUT_DEDUP => lane_put_dedup(&fabric, root, src, &inner, body),
+            OP_GET | OP_GET_AT => lane_get(&fabric, root, src, &inner, op, body),
             _ => {
                 let rsp = match control_request(&inner, op, body) {
                     Ok(rsp) => rsp,
@@ -958,55 +911,35 @@ fn lane_loop(
     }
 }
 
-/// Parse a put begin request: `(stream id, rank, seq, length hint)`.
-fn parse_put_begin(body: &[u8]) -> Result<(u32, u32, u32, u64)> {
-    Ok((
-        read_u32(body)?,
-        read_u32(body.get(4..).unwrap_or(&[]))?,
-        read_u32(body.get(8..).unwrap_or(&[]))?,
-        read_u64(body.get(12..).unwrap_or(&[]))?,
-    ))
-}
-
-/// Receive one record stream into the durable transport's raw sink,
-/// verifying the record's trailing CRC on the same pass that installs
-/// it, then answer with the fixed nine-byte `[status][written]` reply.
-/// Returns `false` when the peer died mid-stream (no reply possible).
+/// Receive one record stream into the durable medium's put sink,
+/// verifying the record's trailing CRC on the same pass that installs it,
+/// then answer with the fixed nine-byte `[status][written]` reply (none
+/// when the peer died mid-stream).
 fn lane_put(
     fabric: &Arc<dyn Fabric>,
     root: usize,
     src: usize,
     inner: &Arc<dyn CkptTransport>,
-    op: u8,
     body: &[u8],
-) -> bool {
-    let (id, rank_raw, seq, hint) = match parse_put_begin(body) {
-        Ok(parsed) => parsed,
+) {
+    let req = match parse_request(body) {
+        Ok(req) => req,
         Err(e) => {
             fabric.send(root, src, RSP_TAG, Arc::new(error_reply(&e)));
-            return true;
+            return;
         }
-    };
-    let kind = match op {
-        OP_PUT_MASTER => RawRecordKind::Master,
-        OP_PUT_SHARD => RawRecordKind::Shard(rank_raw),
-        OP_PUT_MASTER_DELTA => RawRecordKind::MasterDelta { seq },
-        _ => RawRecordKind::ShardDelta {
-            rank: rank_raw,
-            seq,
-        },
     };
     // A sink failure must not wedge the sender's credit window: on error
     // the lane flips to discard mode — it keeps receiving and crediting
     // chunks, and reports the saved failure once the stream ends.
     let mut sink: Option<Box<dyn RawRecordSink + '_>> = None;
     let mut failure: Option<PparError> = None;
-    match inner.begin_raw(kind, hint) {
+    match inner.begin_put(req.key, req.arg) {
         Ok(s) => sink = Some(s),
         Err(e) => failure = Some(e),
     }
     let mut crc = TrailingCrc::new();
-    let end = recv_stream(fabric.as_ref(), root, src, id, KIND_DATA, |chunk| {
+    let end = recv_stream(fabric.as_ref(), root, src, req.id, KIND_DATA, |chunk| {
         for block in chunk.chunks(CRC_SINK_BLOCK) {
             crc.update(block);
             if failure.is_none() {
@@ -1019,12 +952,12 @@ fn lane_put(
     });
     let result: Result<u64> = match (end, failure) {
         (Err(_), _) => {
-            // Peer down mid-stream: discard and park — there is nobody
-            // left to answer, and a partial record must never install.
+            // Peer down mid-stream: discard — there is nobody left to
+            // answer, and a partial record must never install.
             if let Some(s) = sink.take() {
                 s.abort();
             }
-            return false;
+            return;
         }
         (Ok(StreamEnd::Complete), None) => match crc.finish() {
             Some((_, stored, computed)) if stored == computed => {
@@ -1038,35 +971,35 @@ fn lane_put(
             }
         },
         (Ok(StreamEnd::Complete), Some(e)) => Err(e),
-        (Ok(StreamEnd::Aborted(msg)), _) => {
+        (Ok(end), _) => {
             if let Some(s) = sink.take() {
                 s.abort();
             }
-            Err(PparError::Network(format!("client aborted record: {msg}")))
-        }
-        (Ok(StreamEnd::Absent), _) => {
-            if let Some(s) = sink.take() {
-                s.abort();
-            }
-            Err(PparError::Network(
-                "malformed checkpoint stream frame".into(),
-            ))
+            Err(stream_failure(end))
         }
     };
-    let rsp = match result {
+    fabric.send(root, src, RSP_TAG, Arc::new(put_reply(result)));
+}
+
+/// The error a put stream that did not complete reports.
+fn stream_failure(end: StreamEnd) -> PparError {
+    match end {
+        StreamEnd::Aborted(msg) => PparError::Network(format!("client aborted record: {msg}")),
+        _ => PparError::Network("malformed checkpoint stream frame".into()),
+    }
+}
+
+/// The fixed-size `[status][bytes written]` put reply (or an error reply).
+fn put_reply(result: Result<u64>) -> Vec<u8> {
+    match result {
         Ok(written) => {
-            // Fixed-size success reply — the old per-put response `Vec`
-            // churn (`written.to_le_bytes().to_vec()` + status insert) is
-            // a single exact-size allocation now.
             let mut out = Vec::with_capacity(9);
             out.push(ST_OK);
             out.extend_from_slice(&written.to_le_bytes());
             out
         }
         Err(e) => error_reply(&e),
-    };
-    fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-    true
+    }
 }
 
 /// Serve one digest-negotiated put: answer the client's digest table with
@@ -1075,20 +1008,20 @@ fn lane_put(
 /// [`CkptTransport::begin_raw_dedup`]. Integrity on this path rides the
 /// per-chunk digests (verified by the store at supply time) instead of
 /// the record's trailing CRC — the record CRC is still verified whenever
-/// the record is read back. Returns `false` when the peer died
-/// mid-stream.
+/// the record is read back.
 fn lane_put_dedup(
     fabric: &Arc<dyn Fabric>,
     root: usize,
     src: usize,
     inner: &Arc<dyn CkptTransport>,
     body: &[u8],
-) -> bool {
+) {
     let reply = |rsp: Vec<u8>| fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-    let parsed = parse_put_begin(body).and_then(|(id, rank_raw, _seq, total)| {
-        let n = read_u32(body.get(20..).unwrap_or(&[]))? as usize;
-        let table = body
-            .get(24..24 + n * DEDUP_ENTRY)
+    let parsed = parse_request(body).and_then(|req| {
+        let n = read_u32(req.rest)? as usize;
+        let table = req
+            .rest
+            .get(4..4 + n * DEDUP_ENTRY)
             .ok_or_else(|| PparError::Network("truncated dedup digest table".into()))?;
         let refs: Vec<ChunkRef> = table
             .chunks_exact(DEDUP_ENTRY)
@@ -1097,29 +1030,24 @@ fn lane_put_dedup(
                 len: u32::from_le_bytes(e[16..].try_into().expect("4-byte len")),
             })
             .collect();
-        Ok((id, rank_raw, total, refs))
+        Ok((req.id, req.key, req.arg, refs))
     });
-    let (id, rank_raw, total, refs) = match parsed {
+    let (id, key, total, refs) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             reply(error_reply(&e));
-            return true;
+            return;
         }
     };
-    let kind = if rank_raw == MASTER_SENTINEL {
-        RawRecordKind::Master
-    } else {
-        RawRecordKind::Shard(rank_raw)
-    };
-    let mut sink = match inner.begin_raw_dedup(kind, &refs, total) {
+    let mut sink = match inner.begin_raw_dedup(key, &refs, total) {
         Ok(Some(sink)) => sink,
         Ok(None) => {
             reply(vec![ST_NODEDUP]);
-            return true;
+            return;
         }
         Err(e) => {
             reply(error_reply(&e));
-            return true;
+            return;
         }
     };
     let missing: Vec<u32> = sink.missing().to_vec();
@@ -1172,49 +1100,34 @@ fn lane_put_dedup(
     let result: Result<u64> = match (end, failure) {
         (Err(_), _) => {
             sink.abort();
-            return false;
+            return;
+        }
+        (Ok(StreamEnd::Complete), None) if next == missing.len() && pending.is_empty() => {
+            sink.commit()
         }
         (Ok(StreamEnd::Complete), None) => {
-            if next == missing.len() && pending.is_empty() {
-                sink.commit()
-            } else {
-                sink.abort();
-                Err(PparError::Network(
-                    "dedup stream ended short of the missing set".into(),
-                ))
-            }
+            sink.abort();
+            Err(PparError::Network(
+                "dedup stream ended short of the missing set".into(),
+            ))
         }
         (Ok(StreamEnd::Complete), Some(e)) => {
             sink.abort();
             Err(e)
         }
-        (Ok(StreamEnd::Aborted(msg)), _) => {
+        (Ok(end), _) => {
             sink.abort();
-            Err(PparError::Network(format!("client aborted record: {msg}")))
-        }
-        (Ok(StreamEnd::Absent), _) => {
-            sink.abort();
-            Err(PparError::Network(
-                "malformed checkpoint stream frame".into(),
-            ))
+            Err(stream_failure(end))
         }
     };
-    let rsp = match result {
-        Ok(written) => {
-            let mut out = Vec::with_capacity(9);
-            out.push(ST_OK);
-            out.extend_from_slice(&written.to_le_bytes());
-            out
-        }
-        Err(e) => error_reply(&e),
-    };
-    reply(rsp);
-    true
+    reply(put_reply(result));
 }
 
-/// Stream the merged record for a get request back to the client,
-/// straight from the durable transport (`write_merged_record` — the
-/// in-memory and file stores copy through without re-encoding).
+/// Stream the requested record back to the client straight from the
+/// durable medium: a whole record through `copy_record` (the in-memory
+/// and file media copy through without re-encoding), a bounded read as
+/// its header bytes, a count-pinned read as the merged record at that
+/// safe point.
 fn lane_get(
     fabric: &Arc<dyn Fabric>,
     root: usize,
@@ -1229,18 +1142,22 @@ fn lane_get(
         return;
     };
     let mut tx = StreamTx::new(fabric.as_ref(), root, src, id, KIND_RDATA);
-    let outcome = read_u32(body.get(4..).unwrap_or(&[])).and_then(|rank_raw| {
-        let rank = (rank_raw != MASTER_SENTINEL).then_some(rank_raw);
-        if op == OP_GET_SHARD_AT {
-            // Count-pinned read (rejoin restore): the reply must hold the
-            // shard exactly at the requested safe point, or fail — never
-            // a newer (torn) or older generation.
-            let count = read_u64(body.get(8..).unwrap_or(&[]))?;
-            inner.write_merged_record_at(rank, count, &mut tx)
-        } else {
-            inner.write_merged_record(rank, &mut tx)
-        }
-    });
+    let outcome =
+        parse_request(body).and_then(|req| match (op, req.key) {
+            (OP_GET_AT, RawRecordKind::Shard(rank)) => {
+                inner.write_merged_record_at(Some(rank), req.arg, &mut tx)
+            }
+            (OP_GET_AT, key) => Err(PparError::Network(format!(
+                "count-pinned read of non-shard record {key:?}"
+            ))),
+            (_, key) if req.arg == u64::MAX => inner.copy_record(key, &mut tx),
+            (_, key) => {
+                let found = inner.read_record(key, req.arg as usize, &mut |head, _| {
+                    Ok(tx.write_all(head)?)
+                })?;
+                Ok(found.then_some(0))
+            }
+        });
     let finished = match outcome {
         Ok(Some(_)) => tx.finish().is_ok(),
         Ok(None) => {
@@ -1261,7 +1178,7 @@ fn lane_get(
 /// status byte.
 fn control_request(inner: &Arc<dyn CkptTransport>, op: u8, body: &[u8]) -> Result<Vec<u8>> {
     match op {
-        OP_RESTART_COUNT => match inner.restart_count()? {
+        OP_COMMITTED => match inner.committed_count()? {
             Some(count) => {
                 let mut out = Vec::with_capacity(10);
                 out.push(ST_OK);
@@ -1271,13 +1188,16 @@ fn control_request(inner: &Arc<dyn CkptTransport>, op: u8, body: &[u8]) -> Resul
             }
             None => Ok(vec![ST_OK, 0u8]),
         },
-        OP_CLEAR_DELTAS => {
-            let raw = read_u32(body)?;
-            inner.clear_deltas((raw != MASTER_SENTINEL).then_some(raw))?;
-            Ok(vec![ST_OK])
-        }
-        OP_CLEAR_ALL_DELTAS => {
-            inner.clear_all_deltas()?;
+        OP_CLEAR => {
+            let chains = match read_u64(body)? {
+                u64::MAX => Chains::All,
+                raw => {
+                    let raw = u32::try_from(raw)
+                        .map_err(|_| PparError::Network("malformed delta-chain selector".into()))?;
+                    Chains::Of((raw != MASTER_SENTINEL).then_some(raw))
+                }
+            };
+            inner.remove_deltas(chains)?;
             Ok(vec![ST_OK])
         }
         other => Err(PparError::Network(format!(
@@ -1314,6 +1234,8 @@ mod tests {
     use super::*;
     use crate::cluster::free_loopback_addr;
     use crate::tcp::{NetConfig, TcpFabric};
+    use ppar_ckpt::delta::DeltaMeta;
+    use ppar_ckpt::store::{DeltaSource, FieldSource, SnapshotMeta, SnapshotWriter};
     use ppar_ckpt::MemTransport;
     use std::time::Duration;
 
@@ -1433,9 +1355,9 @@ mod tests {
                 assert_eq!(&merged.field("G").unwrap()[16..24], &[9u8; 8]);
                 assert_eq!(&merged.field("G").unwrap()[0..16], &[0u8; 16]);
                 // GC round trip.
-                t.clear_deltas(Some(1)).unwrap();
+                t.remove_deltas(Chains::Of(Some(1))).unwrap();
                 assert_eq!(t.read_merged_shard(1).unwrap().unwrap().count, 10);
-                t.clear_all_deltas().unwrap();
+                t.remove_deltas(Chains::All).unwrap();
             },
             |inner| {
                 assert_eq!(inner.read_merged_shard(1).unwrap().unwrap().count, 10);
@@ -1588,13 +1510,8 @@ mod tests {
 
                 // Hand-drive the stream protocol at the frame level.
                 let id = next_stream_id();
-                let mut req = Vec::with_capacity(21);
-                req.push(OP_PUT_MASTER);
-                req.extend_from_slice(&id.to_le_bytes());
-                req.extend_from_slice(&MASTER_SENTINEL.to_le_bytes());
-                req.extend_from_slice(&0u32.to_le_bytes());
-                req.extend_from_slice(&(record.len() as u64).to_le_bytes());
-                t.fabric.send(t.rank, t.root, REQ_TAG, Arc::new(req));
+                let req = request(OP_PUT, id, RawRecordKind::Master, record.len() as u64);
+                t.send(req);
                 let data_tag = stream_tag(KIND_DATA, id);
                 for chunk in record.chunks(16_000) {
                     let mut p = Vec::with_capacity(1 + chunk.len());
@@ -1828,12 +1745,7 @@ mod tests {
                 cfg.recv_timeout = Duration::from_secs(20);
                 let fabric = TcpFabric::connect(&cfg).unwrap();
                 let id = next_stream_id();
-                let mut req = Vec::with_capacity(21);
-                req.push(OP_PUT_SHARD);
-                req.extend_from_slice(&id.to_le_bytes());
-                req.extend_from_slice(&(rank as u32).to_le_bytes());
-                req.extend_from_slice(&0u32.to_le_bytes());
-                req.extend_from_slice(&1_000_000u64.to_le_bytes());
+                let req = request(OP_PUT, id, RawRecordKind::Shard(rank as u32), 1_000_000);
                 fabric.send(rank, 0, REQ_TAG, Arc::new(req));
                 let mut chunk = vec![CH_DATA];
                 chunk.extend_from_slice(&[0x77u8; 50_000]);

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use ppar_suite::adapt::{
     launch, run_until_complete, AdaptationController, AppStatus, Deploy, ResourceTimeline,
 };
+use ppar_suite::ckpt::SnapshotIo;
 use ppar_suite::core::plan::Plan;
 use ppar_suite::core::run_sequential;
 use ppar_suite::core::ExecMode;
@@ -120,7 +121,7 @@ fn incremental_checkpoint_cross_mode_restart() {
         );
         let store = ppar_suite::ckpt::CheckpointStore::new(&dir).unwrap();
         assert!(
-            store.read_master_delta(1).unwrap().is_some(),
+            store.read_delta(None, 1).unwrap().is_some(),
             "{a_name}: crash run must leave a delta chain"
         );
         let (checksum, replayed) =
