@@ -72,6 +72,9 @@
 //! | `PPAR_STORE_QUOTA_BYTES`   | object-volume quota that triggers GC         |
 //! | `PPAR_STORE_GC_GRACE_SECS` | GC grace window (default 60)                 |
 //! | `PPAR_STORE_SYNC`          | `1` fsyncs novel chunk objects at commit     |
+//!
+//! `PPAR_STORE_SYNC` applies to this layout only; flat-layout records are
+//! never fsynced (see the durability notes in [`crate::store`]).
 
 use std::fs;
 use std::io::{BufWriter, Write};

@@ -41,8 +41,9 @@
 //! The snapshot layer ([`crate::snapshot`]) encodes every record with
 //! [`SnapshotWriter`]: header, fields and trailing CRC stream straight into
 //! the medium's put sink — for a checkpoint directory, a
-//! [`std::io::BufWriter`] over a temp file — with a *running* slice-by-8
-//! CRC-32; at no point does a whole-snapshot buffer exist. Field payloads
+//! [`std::io::BufWriter`] over a temp file — with a running CRC-32
+//! ([`crate::crc`]: the `PCLMULQDQ` fold, slice-by-8 where that is
+//! unavailable); at no point does a whole-snapshot buffer exist. Field payloads
 //! come from a [`FieldSource`]:
 //!
 //! * [`FieldSource::Cell`] streams a live [`StateCell`] through
@@ -61,11 +62,43 @@
 //! ([`Snapshot::encode`], kept as the golden reference), so snapshots
 //! written by either path load through the same reader and old snapshot
 //! files stay valid.
+//!
+//! ## Durability
+//!
+//! The flat layout never fsyncs (`PPAR_STORE_SYNC` applies to the
+//! content-addressed layout only). A *process* crash at any point leaves
+//! the old or the new generation under the record's name, because the
+//! final name only ever moves by `rename`. Ordering across *power loss*
+//! rests on the filesystem's rename-replacement behaviour (ext4's
+//! `auto_da_alloc` starts writeback of a file renamed over an existing
+//! one), which is why a save always renames a fully written temp file
+//! over the previous generation.
+//!
+//! ## Reclaim
+//!
+//! Replacing or unlinking a multi-MiB record makes the filesystem free
+//! its blocks inside that syscall — on a `discard` mount, more than it
+//! costs to write the new record. Every flat-layout operation that drops
+//! a superseded record therefore opens it read-only first, renames or
+//! unlinks exactly as before, and hands the open handle to one
+//! process-wide reclaimer thread, whose only job is to close it. The
+//! directory changes atomically at the same syscall; only the block free
+//! moves off the caller's path. At most two (`RECLAIM_BOUND`) superseded
+//! records wait at once: an operation that finds them all waiting blocks
+//! before its rename. A rename or unlink that fails closes its victim in
+//! line.
+//!
+//! Rewriting a recycled inode in place instead was measured and rejected:
+//! overwrites are not ordered against the rename, so keeping the power-loss
+//! ordering above would need an `fdatasync` per save, which costs more
+//! than the free it saves (`fallocate` loses the ordering the same way).
 
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, OnceLock};
 
+use parking_lot::{Condvar, Mutex};
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
 
@@ -741,7 +774,7 @@ impl CkptTransport for CheckpointStore {
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             if doomed(&entry.file_name().to_string_lossy()) {
-                CheckpointStore::remove_if_present(entry.path())?;
+                remove_file(&entry.path())?;
             }
         }
         if let Some(cas) = &self.cas {
@@ -909,7 +942,7 @@ impl RawRecordSink for FileRawSink<'_> {
         if let Some((store, rank)) = self.rotate {
             store.rotate_shard_generation(rank)?;
         }
-        fs::rename(&self.tmp, &self.dst)?;
+        replace_file(&self.tmp, &self.dst)?;
         self.renamed = true;
         Ok(self.written)
     }
@@ -927,6 +960,142 @@ impl Drop for FileRawSink<'_> {
             let _ = fs::remove_file(&self.tmp);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// reclaim: superseded record files are freed off the save path
+// ---------------------------------------------------------------------------
+
+/// Most superseded record files that may wait for the reclaimer at once
+/// (queued or being closed). An operation that would exceed it waits
+/// before it renames or unlinks, so at most this many dropped generations
+/// hold disk blocks at any time.
+pub(crate) const RECLAIM_BOUND: usize = 2;
+
+/// The process-wide reclaimer: one lazily started thread whose only job is
+/// to close the handles it is sent.
+struct Reclaimer {
+    /// `None` when the thread could not be started: victims then close in
+    /// line, as an unlink without a reclaimer would.
+    tx: Option<mpsc::SyncSender<Victim>>,
+    /// Victims holding a slot (see [`RECLAIM_BOUND`]).
+    held: Mutex<usize>,
+    freed: Condvar,
+}
+
+fn reclaimer() -> &'static Reclaimer {
+    static RECLAIMER: OnceLock<Reclaimer> = OnceLock::new();
+    RECLAIMER.get_or_init(|| {
+        let (tx, rx) = mpsc::sync_channel::<Victim>(RECLAIM_BOUND);
+        // Never joined: it serves the whole process, and closing a file
+        // cannot panic. Handles still queued at exit are closed by the
+        // kernel with the process.
+        let spawned = std::thread::Builder::new()
+            .name("ppar-reclaim".into())
+            .spawn(move || rx.into_iter().for_each(drop));
+        Reclaimer {
+            tx: spawned.ok().map(|_| tx),
+            held: Mutex::new(0),
+            freed: Condvar::new(),
+        }
+    })
+}
+
+/// Superseded record files currently holding a reclaim slot.
+#[cfg(test)]
+pub(crate) fn reclaim_pending() -> usize {
+    *reclaimer().held.lock()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Victims this thread handed to the reclaimer (tests count the sites
+    /// routed through it without seeing other tests' traffic).
+    static HANDED_OFF: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One of the [`RECLAIM_BOUND`] places; released when dropped.
+struct ReclaimSlot;
+
+impl ReclaimSlot {
+    fn acquire() -> ReclaimSlot {
+        let r = reclaimer();
+        let mut held = r.held.lock();
+        while *held >= RECLAIM_BOUND {
+            r.freed.wait(&mut held);
+        }
+        *held += 1;
+        ReclaimSlot
+    }
+}
+
+impl Drop for ReclaimSlot {
+    fn drop(&mut self) {
+        let r = reclaimer();
+        *r.held.lock() -= 1;
+        r.freed.notify_one();
+    }
+}
+
+/// A read-only handle on a record file an operation is about to replace
+/// or unlink. An unlinked inode lives until its last handle closes, so
+/// the rename or unlink only changes the directory; the block free happens
+/// wherever the victim is dropped: on the reclaimer after
+/// [`Victim::reclaim`], in line otherwise (a failed rename or unlink).
+struct Victim {
+    // Field order matters: the file closes (freeing its blocks) before
+    // the slot is released.
+    _file: fs::File,
+    _slot: ReclaimSlot,
+}
+
+impl Victim {
+    /// Hold `path` open ahead of replacing or unlinking it; `None` when
+    /// there is nothing to hold (absent or unreadable: the operation then
+    /// frees in line).
+    fn open(path: &Path) -> Option<Victim> {
+        let file = fs::File::open(path).ok()?;
+        Some(Victim {
+            _file: file,
+            _slot: ReclaimSlot::acquire(),
+        })
+    }
+
+    /// Hand the handle to the reclaimer: only once the directory no longer
+    /// names the victim's inode.
+    fn reclaim(self) {
+        #[cfg(test)]
+        HANDED_OFF.with(|n| n.set(n.get() + 1));
+        if let Some(tx) = &reclaimer().tx {
+            // A failed send hands the victim back, which closes here.
+            let _ = tx.send(self);
+        }
+    }
+}
+
+/// Rename `from` over `to`; whatever `to` named is freed by the reclaimer.
+fn replace_file(from: &Path, to: &Path) -> Result<()> {
+    let victim = Victim::open(to);
+    fs::rename(from, to)?;
+    if let Some(victim) = victim {
+        victim.reclaim();
+    }
+    Ok(())
+}
+
+/// Unlink `path`, freeing it on the reclaimer. Tolerates a concurrent
+/// remover (several modules of one group purging at start-up): losing the
+/// race to delete is success.
+fn remove_file(path: &Path) -> Result<()> {
+    let victim = Victim::open(path);
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+        _ => {}
+    }
+    if let Some(victim) = victim {
+        victim.reclaim();
+    }
+    Ok(())
 }
 
 pub(crate) struct Reader<'a> {
@@ -1091,19 +1260,18 @@ impl CheckpointStore {
                 // Stale flat files under either name are superseded by the
                 // manifest that just moved (reads prefer manifests, but the
                 // source name no longer has one to shadow its leftover).
-                CheckpointStore::remove_if_present(to.to_path_buf())?;
-                CheckpointStore::remove_if_present(from.to_path_buf())?;
+                remove_file(to)?;
+                remove_file(from)?;
                 return Ok(());
             }
         }
-        fs::rename(from, to)?;
-        Ok(())
+        replace_file(from, to)
     }
 
     /// A freshly committed content-addressed record supersedes any legacy
     /// flat file of the same name left from before the layout switch.
     fn remove_superseded_flat(&self, name: &str) {
-        let _ = fs::remove_file(self.dir.join(name));
+        let _ = remove_file(&self.dir.join(name));
     }
 
     /// Where the record under `key` lives.
@@ -1215,16 +1383,6 @@ impl CheckpointStore {
         }
     }
 
-    // Tolerate a concurrent remover (several modules of one group purging
-    // at start-up): losing the race to delete is success.
-    fn remove_if_present(path: PathBuf) -> Result<()> {
-        match fs::remove_file(path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Delete the temp files of saves that died mid-write (`ckpt_*.tmp*`:
     /// a failed or killed local save, or a service install killed with its
     /// process — neither reaches its cleanup). Committed records are never
@@ -1235,7 +1393,7 @@ impl CheckpointStore {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if name.starts_with("ckpt_") && name.contains(".tmp") {
-                CheckpointStore::remove_if_present(entry.path())?;
+                remove_file(&entry.path())?;
             }
         }
         Ok(())
@@ -1254,7 +1412,7 @@ impl CheckpointStore {
 
     /// Clear the in-flight marker (normal completion).
     pub fn clear_marker(&self) -> Result<()> {
-        CheckpointStore::remove_if_present(self.marker_path())
+        remove_file(&self.marker_path())
     }
 
     /// Remove all snapshots and the marker (fresh directory for a new
@@ -1265,7 +1423,7 @@ impl CheckpointStore {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if name == "RUNNING" || name.starts_with("ckpt_") {
-                fs::remove_file(entry.path())?;
+                remove_file(&entry.path())?;
             }
         }
         if let Some(cas) = &self.cas {
@@ -2075,6 +2233,181 @@ mod tests {
             proptest::prop_assert_eq!(merged.count, 3);
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    // ---- reclaim ----
+
+    use std::collections::BTreeMap;
+
+    /// Name and size of every entry in `dir`.
+    fn listing(dir: &Path) -> BTreeMap<String, u64> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, e.metadata().unwrap().len())
+            })
+            .collect()
+    }
+
+    fn handed_off() -> usize {
+        HANDED_OFF.with(|n| n.get())
+    }
+
+    /// A record whose size differs per generation, so a directory listing
+    /// tells generations apart.
+    fn generation(count: u64, rank: Option<u32>) -> Snapshot {
+        let len = (16 << 10) + count as usize * 512;
+        Snapshot {
+            mode_tag: "smp2".into(),
+            count,
+            rank,
+            nranks: 1,
+            fields: vec![(
+                "G".into(),
+                (0..len).map(|i| (i as u64 ^ count) as u8).collect(),
+            )],
+        }
+    }
+
+    /// Master replacement, shard rotation and delta-chain GC leave exactly
+    /// the names and sizes an in-line unlink would, restores stay
+    /// byte-identical, every dropped record reaches the reclaimer, and the
+    /// reclaim queue never holds more than its bound.
+    #[test]
+    fn reclaimed_generations_leave_the_directory_unchanged() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let dir = tmpdir("reclaim");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let done = AtomicBool::new(false);
+        /// Stops the sampler on the way out, also when an assertion fails
+        /// (the scope would otherwise wait for it forever).
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let max_pending = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut max = 0;
+                while !done.load(Ordering::SeqCst) {
+                    max = max.max(reclaim_pending());
+                    std::thread::yield_now();
+                }
+                max
+            });
+            let stop = Stop(&done);
+            let mut expect = BTreeMap::new();
+            let check = |expect: &BTreeMap<String, u64>, handed: usize, want: usize| {
+                assert_eq!(&listing(&dir), expect);
+                assert_eq!(handed_off() - handed, want, "victims handed off");
+                assert!(reclaim_pending() <= RECLAIM_BOUND);
+            };
+            let mut prev_shard: Option<(Snapshot, u64)> = None;
+            for round in 1..=20u64 {
+                let handed = handed_off();
+                let master = generation(round, None);
+                let written = store.write_master(&master).unwrap();
+                expect.insert("ckpt_master.bin".to_string(), written);
+                check(&expect, handed, usize::from(round > 1));
+                assert_eq!(store.read_master().unwrap().unwrap(), master);
+
+                // No commit point: every shard put rotates the current
+                // generation to `_prev`, dropping the one before it.
+                let handed = handed_off();
+                let shard = generation(round, Some(0));
+                let written = store
+                    .put_shard(&shard.meta(), &shard.field_sources(), &mut Vec::new())
+                    .unwrap();
+                expect.insert("ckpt_rank_0.bin".to_string(), written);
+                if let Some((_, len)) = &prev_shard {
+                    expect.insert("ckpt_rank_0_prev.bin".to_string(), *len);
+                }
+                check(&expect, handed, usize::from(round > 2));
+                assert_eq!(store.read_merged_shard(0).unwrap().unwrap(), shard);
+                if let Some((prev, _)) = &prev_shard {
+                    assert_eq!(
+                        store.read_shard_at(0, round - 1).unwrap().as_ref(),
+                        Some(prev)
+                    );
+                }
+                prev_shard = Some((shard, written));
+
+                let handed = handed_off();
+                let mut tip = master.clone();
+                for seq in 1..=2u32 {
+                    tip.count = round * 100 + u64::from(seq);
+                    tip.fields[0]
+                        .1
+                        .iter_mut()
+                        .for_each(|b| *b = b.wrapping_add(1));
+                    let written = store
+                        .put_master_delta(
+                            &delta_meta(tip.count, round, seq, None),
+                            &[("G", DeltaSource::Full(FieldSource::Bytes(&tip.fields[0].1)))],
+                            &mut Vec::new(),
+                        )
+                        .unwrap();
+                    expect.insert(format!("ckpt_master_delta_{seq}.bin"), written);
+                }
+                check(&expect, handed, 0);
+                let merged = store.read_merged_master().unwrap().unwrap();
+                assert_eq!((merged.count, &merged.fields), (tip.count, &tip.fields));
+
+                let handed = handed_off();
+                store.remove_deltas(Chains::Of(None)).unwrap();
+                expect.retain(|name, _| !name.contains("_delta_"));
+                check(&expect, handed, 2);
+                assert_eq!(store.read_merged_master().unwrap().unwrap(), master);
+            }
+            drop(stop);
+            sampler.join().unwrap()
+        });
+        assert!(
+            max_pending <= RECLAIM_BOUND,
+            "pending peaked at {max_pending}"
+        );
+
+        let handed = handed_off();
+        store.clear_all().unwrap();
+        assert!(listing(&dir).is_empty());
+        assert_eq!(handed_off() - handed, 3, "master, shard and prev shard");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rename that fails (here: the record it would replace is a
+    /// non-empty directory) closes its victim in line, never on the
+    /// reclaimer, and the previous record stays readable.
+    #[test]
+    fn failed_rename_keeps_the_previous_record_and_reclaims_nothing() {
+        let dir = tmpdir("reclaim_fail");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let gen1 = generation(1, Some(0));
+        store
+            .put_shard(&gen1.meta(), &gen1.field_sources(), &mut Vec::new())
+            .unwrap();
+        // Shard rotation renames the current generation onto `_prev`;
+        // master saves rename the temp file onto the master record.
+        for blocked in [store.prev_shard_path(0), store.master_path()] {
+            fs::create_dir(&blocked).unwrap();
+            fs::write(blocked.join("x"), b"x").unwrap();
+        }
+        let before = listing(&dir);
+        let handed = handed_off();
+
+        let gen2 = generation(2, Some(0));
+        assert!(store
+            .put_shard(&gen2.meta(), &gen2.field_sources(), &mut Vec::new())
+            .is_err());
+        assert!(store.write_master(&generation(2, None)).is_err());
+
+        assert_eq!(handed_off(), handed, "a failed rename hands nothing off");
+        assert_eq!(listing(&dir), before, "no temp file, nothing moved");
+        assert_eq!(store.read_merged_shard(0).unwrap().unwrap(), gen1);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
